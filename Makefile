@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fmt vet lint lint-sarif verify fuzz psmd-smoke bench-obs bench-join bench-power bench-ingest bench-shard ci
+.PHONY: build test race fmt vet lint lint-sarif verify fuzz psmd-smoke bench-build bench-obs bench-join bench-power bench-ingest bench-shard ci
 
 build:
 	$(GO) build ./...
@@ -104,6 +104,14 @@ bench-shard:
 	BENCH_SHARD=1 $(GO) test -run TestShardScalingGate -count=1 -v .
 	$(GO) run ./scripts/loadgen
 
+# The end-to-end benchmark (psmbench/) is its own Go module, so the root
+# build and tests never compile it although it imports dozens of
+# internal names (pipeline.TreeJoin, logic.Arena, stream.DecodeRowArena,
+# ...). Vet and test it here so an internal API change cannot silently
+# break the benchmark. Runs offline.
+bench-build:
+	cd psmbench && $(GO) vet ./... && $(GO) test ./...
+
 # Short fuzz smoke: run each native fuzz target for a few seconds on top
 # of its committed seed corpus (testdata/fuzz/). Longer sessions: raise
 # FUZZTIME or run `go test -fuzz` by hand.
@@ -113,5 +121,5 @@ fuzz:
 	$(GO) test ./internal/check -run '^$$' -fuzz FuzzModelJSON -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stream -run '^$$' -fuzz FuzzWireScan -fuzztime $(FUZZTIME)
 
-ci: fmt vet build race lint verify fuzz psmd-smoke
+ci: fmt vet build bench-build race lint verify fuzz psmd-smoke
 	@echo "ci: all gates passed"

@@ -428,7 +428,7 @@ func (obsMetricsRule) Check(p *Package, env *Env) []Finding {
 // model with O(n) re-probes per collapse — so state merging anywhere
 // else should go through psm.JoinPooled / psm.Joiner rather than
 // reimplementing the scan. internal/psm itself is exempt: it keeps the
-// reference restart scan for provenance ordering and differential tests.
+// reference restart scan as the oracle of its differential tests.
 type mergeFixpointRule struct{}
 
 func (mergeFixpointRule) ID() string { return "merge-fixpoint" }

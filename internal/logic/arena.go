@@ -54,10 +54,10 @@ func (a *Arena) grab(n int) []uint64 {
 
 // ParseHex parses a hexadecimal byte slice into an arena-backed Vector
 // of the given width (which must be positive). Grammar, truncation
-// semantics and error text are exactly ParseHex's — underscores allowed
-// anywhere, one optional "0x" prefix after underscore removal, digits
-// beyond the width shifted out — pinned by the differential tests in
-// arena_test.go. The input is not retained.
+// semantics and error text are exactly ParseHex's — both run
+// parseHexInto: underscores allowed anywhere, one optional "0x" prefix
+// after underscore removal, digits beyond the width shifted out. The
+// input is not retained.
 func (a *Arena) ParseHex(width int, s []byte) (Vector, error) {
 	words := a.grab(wordsFor(width))
 	if err := parseHexInto(words, width, s); err != nil {
@@ -66,15 +66,16 @@ func (a *Arena) ParseHex(width int, s []byte) (Vector, error) {
 	return Vector{width: width, words: words}, nil
 }
 
-// parseHexInto is the allocation-free core of Arena.ParseHex: digits are
-// placed directly at their nibble position from the least significant
-// end instead of the Shl-per-digit walk, which is equivalent modulo
-// 2^width because Shl masks to the width each step and placement masks
-// once at the end.
-func parseHexInto(words []uint64, width int, s []byte) error {
+// parseHexInto is the allocation-free hex decoder behind ParseHex and
+// Arena.ParseHex: it ORs the digits of s into the zeroed words of a
+// width-bit vector. Digits are placed directly at their nibble position
+// from the least significant end — equivalent, modulo 2^width, to
+// shifting the value left one nibble per digit, which the differential
+// tests pin against such a walk (refParseHex).
+func parseHexInto[S string | []byte](words []uint64, width int, s S) error {
 	// Locate the end of the optional "0x" prefix: the first two
-	// effective (non-underscore) bytes being exactly '0','x' — the same
-	// prefix ParseHex strips after removing underscores.
+	// effective (non-underscore) bytes being exactly '0','x' — the
+	// prefix that remains once underscores are removed.
 	start := 0
 	i := 0
 	for i < len(s) && s[i] == '_' {
@@ -105,10 +106,9 @@ func parseHexInto(words []uint64, width int, s []byte) error {
 		case c == '_':
 			continue
 		default:
-			// The scan runs backwards; rebuild ParseHex's forward-order
-			// error (first offending rune, cleaned string) off the hot
-			// path.
-			return hexDigitError(s)
+			// The scan runs backwards; report the forward-order error
+			// (first offending rune, cleaned string) off the hot path.
+			return hexDigitError(string(s))
 		}
 		if k < digitsCap {
 			words[k/16] |= d << uint((k%16)*4)
@@ -124,11 +124,10 @@ func parseHexInto(words []uint64, width int, s []byte) error {
 	return nil
 }
 
-// hexDigitError reproduces ParseHex's diagnostic for an invalid digit:
-// underscores removed, one "0x" prefix trimmed, first bad rune in
-// forward order.
-func hexDigitError(s []byte) error {
-	clean := strings.TrimPrefix(strings.ReplaceAll(string(s), "_", ""), "0x")
+// hexDigitError is the diagnostic for an invalid digit: underscores
+// removed, one "0x" prefix trimmed, first bad rune in forward order.
+func hexDigitError(s string) error {
+	clean := strings.TrimPrefix(strings.ReplaceAll(s, "_", ""), "0x")
 	for _, c := range clean {
 		switch {
 		case c >= '0' && c <= '9':

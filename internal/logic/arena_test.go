@@ -2,12 +2,53 @@ package logic
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
-// The arena parser is pinned against ParseHex differentially: same
-// value, same error text, for adversarial literals and for random
-// round-trips at awkward widths.
+// Both production parsers share parseHexInto, so they are pinned
+// differentially against refParseHex, an independent implementation of
+// the grammar: same value, same error text, for adversarial literals and
+// for random round-trips at awkward widths.
+
+// refParseHex is the grammar oracle: clean the literal, then shift the
+// value left one nibble per digit, masking to the width each step.
+func refParseHex(width int, s string) (Vector, error) {
+	s = strings.TrimPrefix(strings.ReplaceAll(s, "_", ""), "0x")
+	if s == "" {
+		return Vector{}, fmt.Errorf("logic: empty hex literal")
+	}
+	x := New(width)
+	for _, c := range s {
+		var d uint64
+		switch {
+		case c >= '0' && c <= '9':
+			d = uint64(c - '0')
+		case c >= 'a' && c <= 'f':
+			d = uint64(c-'a') + 10
+		case c >= 'A' && c <= 'F':
+			d = uint64(c-'A') + 10
+		default:
+			return Vector{}, fmt.Errorf("logic: invalid hex digit %q in %q", c, s)
+		}
+		x = x.Shl(4)
+		x.words[0] |= d
+	}
+	x.mask()
+	return x, nil
+}
+
+// hexSubjects are the production parsers under differential test.
+var hexSubjects = []struct {
+	name  string
+	parse func(width int, s string) (Vector, error)
+}{
+	{"ParseHex", ParseHex},
+	{"Arena.ParseHex", func(width int, s string) (Vector, error) {
+		var a Arena
+		return a.ParseHex(width, []byte(s))
+	}},
+}
 
 var hexCases = []struct {
 	width int
@@ -46,27 +87,27 @@ var hexCases = []struct {
 }
 
 func TestArenaParseHexMatchesParseHex(t *testing.T) {
-	var a Arena
-	for _, c := range hexCases {
-		want, wantErr := ParseHex(c.width, c.s)
-		got, gotErr := a.ParseHex(c.width, []byte(c.s))
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("ParseHex(%d, %q): err %v vs arena err %v", c.width, c.s, wantErr, gotErr)
-		}
-		if wantErr != nil {
-			if wantErr.Error() != gotErr.Error() {
-				t.Fatalf("ParseHex(%d, %q): error text %q vs arena %q", c.width, c.s, wantErr, gotErr)
+	for _, sub := range hexSubjects {
+		for _, c := range hexCases {
+			want, wantErr := refParseHex(c.width, c.s)
+			got, gotErr := sub.parse(c.width, c.s)
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("%s(%d, %q): err %v, reference err %v", sub.name, c.width, c.s, gotErr, wantErr)
 			}
-			continue
-		}
-		if !want.Equal(got) {
-			t.Fatalf("ParseHex(%d, %q) = %v, arena = %v", c.width, c.s, want, got)
+			if wantErr != nil {
+				if wantErr.Error() != gotErr.Error() {
+					t.Fatalf("%s(%d, %q): error text %q, reference %q", sub.name, c.width, c.s, gotErr, wantErr)
+				}
+				continue
+			}
+			if !want.Equal(got) {
+				t.Fatalf("%s(%d, %q) = %v, reference %v", sub.name, c.width, c.s, got, want)
+			}
 		}
 	}
 }
 
 func TestArenaParseHexRandomRoundTrip(t *testing.T) {
-	var a Arena
 	rng := uint64(0x9e3779b97f4a7c15)
 	next := func() uint64 {
 		rng ^= rng << 13
@@ -82,16 +123,18 @@ func TestArenaParseHexRandomRoundTrip(t *testing.T) {
 			}
 			v.mask()
 			s := v.Hex()
-			want, err := ParseHex(width, s)
+			want, err := refParseHex(width, s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := a.ParseHex(width, []byte(s))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !want.Equal(got) || !got.Equal(v) {
-				t.Fatalf("width %d: round trip %q: %v vs %v (orig %v)", width, s, want, got, v)
+			for _, sub := range hexSubjects {
+				got, err := sub.parse(width, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !want.Equal(got) || !got.Equal(v) {
+					t.Fatalf("%s width %d: round trip %q: %v, reference %v (orig %v)", sub.name, width, s, got, want, v)
+				}
 			}
 		}
 	}

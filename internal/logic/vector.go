@@ -74,29 +74,12 @@ func MustParseHex(width int, s string) Vector {
 
 // ParseHex parses a hexadecimal string (most significant digit first,
 // optional "0x" prefix, underscores allowed as separators) into a Vector of
-// the given width.
+// the given width. Digits beyond the width are shifted out.
 func ParseHex(width int, s string) (Vector, error) {
-	s = strings.TrimPrefix(strings.ReplaceAll(s, "_", ""), "0x")
-	if s == "" {
-		return Vector{}, fmt.Errorf("logic: empty hex literal")
-	}
 	x := New(width)
-	for _, c := range s {
-		var d uint64
-		switch {
-		case c >= '0' && c <= '9':
-			d = uint64(c - '0')
-		case c >= 'a' && c <= 'f':
-			d = uint64(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			d = uint64(c-'A') + 10
-		default:
-			return Vector{}, fmt.Errorf("logic: invalid hex digit %q in %q", c, s)
-		}
-		x = x.Shl(4)
-		x.words[0] |= d
+	if err := parseHexInto(x.words, width, s); err != nil {
+		return Vector{}, err
 	}
-	x.mask()
 	return x, nil
 }
 

@@ -46,12 +46,13 @@ type MergeDecision struct {
 // safe; Decisions returns them in a canonical order independent of the
 // recording interleaving, so a parallel batch run, a sequential run and
 // the streaming engine produce identical logs over the same traces.
-// The join engine honors the same contract from the other side: when a
-// log is attached, the collapse runs its reference restart scan so join
-// decisions land in the canonical scan order (memoized verdicts still
-// record — a memo hit replays the cached outcome into the log), and the
-// worklist fast path is reserved for un-logged runs, which produce the
-// identical model.
+// The join is sequential and runs the same engine with or without a log,
+// so its decisions are recorded in one deterministic order: first the
+// phase-1 fold's comparisons, in pooled order; then the fixpoint
+// worklist's probes, where a rejection is recorded when it is probed and
+// an acceptance only when its pair collapses. Every logged accept is
+// therefore a collapse (memoized verdicts still record — a memo hit
+// replays the cached outcome into the log).
 type ProvenanceLog struct {
 	mu sync.Mutex
 	ds []MergeDecision

@@ -74,8 +74,10 @@ func TestPropertyObservedBuildIdentical(t *testing.T) {
 }
 
 // buildWithProvenance runs the chain+join flow with a provenance log
-// attached and returns the canonical decision list.
-func buildWithProvenance(t *testing.T, c propCase, workers int) []obs.MergeDecision {
+// attached and returns the canonical decision list, the pooled state
+// count (the simplified chains' total) and the served model's state
+// count.
+func buildWithProvenance(t *testing.T, c propCase, workers int) (ds []obs.MergeDecision, pooled, served int) {
 	t.Helper()
 	pol := experiment.DefaultPolicies()
 	cfg := pipeline.Config{Workers: workers, Mining: pol.Mining, Merge: pol.Merge}
@@ -85,10 +87,14 @@ func buildWithProvenance(t *testing.T, c propCase, workers int) []obs.MergeDecis
 	if err != nil {
 		t.Skipf("trace set unbuildable: %v", err)
 	}
-	if _, err := pipeline.TreeJoin(ctx, chains, pol.Merge, workers); err != nil {
+	model, err := pipeline.TreeJoin(ctx, chains, pol.Merge, workers)
+	if err != nil {
 		t.Skipf("join failed: %v", err)
 	}
-	return log.Decisions()
+	for _, ch := range chains {
+		pooled += len(ch.States)
+	}
+	return log.Decisions(), pooled, len(model.States)
 }
 
 // TestProvenanceDeterministicAcrossWorkers: the canonical decision log
@@ -97,12 +103,12 @@ func TestProvenanceDeterministicAcrossWorkers(t *testing.T) {
 	for seed := 0; seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		c := genCase(rng)
-		seq := buildWithProvenance(t, c, 1)
+		seq, _, _ := buildWithProvenance(t, c, 1)
 		if len(seq) == 0 {
 			t.Fatalf("seed %d: no merge decisions recorded (%s)", seed, c)
 		}
 		for _, workers := range []int{2, 4} {
-			par := buildWithProvenance(t, c, workers)
+			par, _, _ := buildWithProvenance(t, c, workers)
 			if !reflect.DeepEqual(seq, par) {
 				t.Fatalf("seed %d: provenance log differs between 1 and %d workers", seed, workers)
 			}
@@ -113,14 +119,21 @@ func TestProvenanceDeterministicAcrossWorkers(t *testing.T) {
 // TestProvenanceReplay: every logged decision carries the exact
 // accumulator ⟨N, Σx, Σx²⟩ of both states, so re-running the merge
 // policy on the logged moments must reproduce the logged test, case,
-// statistic and verdict — the audit log is self-verifying.
+// statistic and verdict — the audit log is self-verifying. And every
+// logged join accept is a collapse, so the accepted join decisions
+// number exactly the pooled states minus the served ones.
 func TestProvenanceReplay(t *testing.T) {
 	pol := experiment.DefaultPolicies()
 	total := 0
 	for seed := 0; seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		c := genCase(rng)
-		for _, d := range buildWithProvenance(t, c, 4) {
+		ds, pooled, served := buildWithProvenance(t, c, 4)
+		joinAccepts := 0
+		for _, d := range ds {
+			if d.Phase == "join" && d.Accept {
+				joinAccepts++
+			}
 			a := stats.Moments{N: d.A.N, Sum: d.A.Sum, SumSq: d.A.SumSq}
 			b := stats.Moments{N: d.B.N, Sum: d.B.Sum, SumSq: d.B.SumSq}
 			out := pol.Merge.Evaluate(a, b)
@@ -133,6 +146,10 @@ func TestProvenanceReplay(t *testing.T) {
 					seed, d.Seq, out.Stat, out.Threshold, out.T, d.Stat, d.Threshold, d.T)
 			}
 			total++
+		}
+		if joinAccepts != pooled-served {
+			t.Fatalf("seed %d: %d accepted join decisions, but the join collapsed %d pooled states into %d (%d collapses)",
+				seed, joinAccepts, pooled, served, pooled-served)
 		}
 	}
 	if total == 0 {

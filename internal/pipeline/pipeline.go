@@ -6,15 +6,14 @@
 //
 // Determinism is the design constraint. Every fan-out writes results into
 // index-addressed slots; the mined proposition ids are replayed
-// sequentially in trace order (mining.MineParallel); and the join
-// assembles the pooled model through a fixed-order pairwise tree of
-// psm.Concat steps — pure, associative concatenation — before running
-// the order-dependent collapse once at the root via psm.JoinPooled, the
-// exact code path the sequential psm.Join uses. The model produced with
-// any worker count is therefore bit-identical to the sequential flow
-// (internal/check verifies it, and the sorted DOT/JSON exporters make
-// the guarantee byte-testable; the property suite in property_test.go
-// exercises it on randomized trace sets).
+// sequentially in trace order (mining.MineParallel); and the join runs
+// sequentially in chain order (TreeJoin: psm.Pool, then the
+// order-dependent collapse of psm.JoinPooled, the exact code path the
+// sequential psm.Join uses). The model produced with any worker count is
+// therefore bit-identical to the sequential flow (internal/check
+// verifies it, and the sorted DOT/JSON exporters make the guarantee
+// byte-testable; the property suite in property_test.go exercises it on
+// randomized trace sets).
 package pipeline
 
 import (
@@ -114,50 +113,24 @@ func BuildChains(ctx context.Context, fts []*trace.Functional, pws []*trace.Powe
 	return chains, nil
 }
 
-// TreeJoin implements psm.Join as a parallel reduction: each chain is
-// pooled on its own worker (the clone-and-rebase half of the join), the
-// partial pools are concatenated pairwise up a fixed left-to-right binary
-// tree, and the order-dependent collapse runs once at the root. Because
-// psm.Concat is associative in the chain order, every tree shape — and
-// therefore every worker count — produces the same pooled model, and the
-// root collapse is the same code the sequential psm.Join runs — the
-// worklist engine by default, the provenance-ordered restart scan when a
-// log is attached, both replaying the identical collapse sequence: the
-// result is bit-identical to psm.Join(chains, policy).
+// TreeJoin is psm.Join under the flow's spans: a "join" span holding a
+// "join.pool" span around psm.Pool and the "collapse" span of
+// psm.JoinPooledCtx, so the result is bit-identical to
+// psm.Join(chains, policy). workers does not affect the join: pooling
+// is a cheap linear copy and the collapse is sequential. A cancelled
+// ctx returns ctx.Err().
 func TreeJoin(ctx context.Context, chains []*psm.Chain, policy psm.MergePolicy, workers int) (*psm.Model, error) {
 	if len(chains) == 0 {
 		return psm.Join(nil, policy), nil
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	ctx, span := obs.Start(ctx, "join", obs.KV("chains", len(chains)))
 	defer span.End()
 	_, poolSpan := obs.Start(ctx, "join.pool")
-	pools := make([]*psm.Model, len(chains))
-	err := ForEach(ctx, workers, len(chains), func(_ context.Context, i int) error {
-		pools[i] = psm.Pool(chains[i : i+1])
-		return nil
-	})
-	if err != nil {
-		poolSpan.End()
-		return nil, err
-	}
-	for len(pools) > 1 {
-		next := make([]*psm.Model, (len(pools)+1)/2)
-		prev := pools
-		err := ForEach(ctx, workers, len(next), func(_ context.Context, i int) error {
-			m := prev[2*i]
-			if 2*i+1 < len(prev) {
-				m = psm.Concat(m, prev[2*i+1])
-			}
-			next[i] = m
-			return nil
-		})
-		if err != nil {
-			poolSpan.End()
-			return nil, err
-		}
-		pools = next
-	}
-	poolSpan.SetAttr("states", len(pools[0].States))
+	pooled := psm.Pool(chains)
+	poolSpan.SetAttr("states", len(pooled.States))
 	poolSpan.End()
-	return psm.JoinPooledCtx(ctx, pools[0], policy), nil
+	return psm.JoinPooledCtx(ctx, pooled, policy), nil
 }

@@ -10,12 +10,12 @@ import (
 // Joiner maintains the join incrementally across streaming snapshots.
 //
 // The batch join has two phases (see joinPooledWith): a greedy
-// clustering pass over the pooled states and a fixpoint over the
-// survivors. The clustering pass is a left fold — each pooled state is
-// folded into the first already-kept state it merges with, and kept
-// states are never re-examined by it — so its result over chains
-// ⟨c₀ … cₖ⟩ extends to ⟨c₀ … cₖ₊₁⟩ by folding only cₖ₊₁'s states. A
-// Joiner persists exactly that fold: the kept states with their pooled
+// clustering pass over the pooled states (foldState) and a fixpoint
+// over the survivors (finishJoin). The clustering pass is a left fold —
+// each pooled state is folded into the first already-kept state it
+// merges with, and kept states are never re-examined by it — so its
+// result over chains ⟨c₀ … cₖ⟩ extends to ⟨c₀ … cₖ₊₁⟩ by folding only
+// cₖ₊₁'s states. A Joiner persists exactly that fold: the kept states with their pooled
 // evidence, the phase-1-resolved aggregated transitions, and the
 // surviving initials. Add folds one new chain in O(|chain| · kept)
 // memoized checks; Snapshot clones the kept states cheaply and runs
@@ -116,17 +116,7 @@ func (j *Joiner) Add(ctx context.Context, c *Chain) {
 		ns := clonedState(s)
 		ns.ID = base + s.ID
 		j.pooled++
-		merged := false
-		for _, k := range j.kept {
-			if mg.mergeable(k, ns) {
-				mergeStates(alias, j.initials, k, ns)
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			j.kept = append(j.kept, ns)
-		}
+		j.kept = foldState(&mg, j.kept, ns, alias, j.initials)
 	}
 
 	// Aggregate the chain's transitions with its phase-1 aliases
@@ -199,10 +189,7 @@ func (j *Joiner) Snapshot(ctx context.Context) *Model {
 		m.Initials[id] = n
 	}
 
-	alias := map[int]int{}
-	collapseWorklist(&mg, m, alias)
-	resolveTransitions(m, alias)
-	reindex(m)
+	finishJoin(&mg, m, map[int]int{})
 	span.SetAttr("states_out", len(m.States))
 	span.End()
 	return m

@@ -267,10 +267,7 @@ func Join(chains []*Chain, policy MergePolicy) *Model {
 // state is deep-copied and renumbered with a model-global id (chain k's
 // states follow chain k-1's contiguously), the implicit chain transitions
 // are materialized, and each chain's first state is recorded as an
-// initial. Pooling is pure concatenation — associative in the chain
-// order — which is what lets the parallel tree join of internal/pipeline
-// assemble partial pools in any grouping and still reproduce the
-// sequential Join bit for bit.
+// initial.
 func Pool(chains []*Chain) *Model {
 	// The exact output sizes are known up front (every chain contributes
 	// len(States) states, len(States)-1 transitions and one initial), so
@@ -307,139 +304,77 @@ func Pool(chains []*Chain) *Model {
 	return m
 }
 
-// Concat appends pool b to pool a, rebasing b's state ids, transition
-// endpoints and initials by a's state count. It takes ownership of both
-// inputs (a is extended in place, b's states are adopted without copying)
-// and returns a. Concatenating pooled sub-models left to right — in any
-// tree grouping — yields exactly Pool of the concatenated chain list.
-func Concat(a, b *Model) *Model {
-	if a.Dict == nil {
-		a.Dict = b.Dict
-	}
-	base := len(a.States)
-	if need := base + len(b.States); cap(a.States) < need {
-		grown := make([]*State, base, need)
-		copy(grown, a.States)
-		a.States = grown
-	}
-	for _, s := range b.States {
-		s.ID += base
-		a.States = append(a.States, s)
-	}
-	if need := len(a.Transitions) + len(b.Transitions); cap(a.Transitions) < need {
-		grown := make([]Transition, len(a.Transitions), need)
-		copy(grown, a.Transitions)
-		a.Transitions = grown
-	}
-	for _, t := range b.Transitions {
-		a.Transitions = append(a.Transitions, Transition{
-			From: base + t.From, To: base + t.To, Enabling: t.Enabling, Count: t.Count,
-		})
-	}
-	for id, n := range b.Initials {
-		a.Initials[base+id] += n
-	}
-	return a
-}
-
 // JoinPooled runs the order-dependent collapse phases of Join on a pooled
 // model (greedy clustering, fixpoint, transition rewiring, reindexing).
-// It mutates and returns m. Exported so the parallel tree join can pool
-// concurrently and still share this exact merge code path with the
-// sequential flow.
+// It mutates and returns m. Exported so callers that pool themselves
+// (pipeline.TreeJoin, the cross-shard snapshot) share this exact merge
+// code path with Join.
 func JoinPooled(m *Model, policy MergePolicy) *Model {
 	return joinPooledWith(plainMerger(policy, phaseJoin, -1), m)
 }
 
-// joinPooledWith routes JoinPooled through a merger (see simplifyWith)
-// and selects the collapse engine. The two engines produce bit-identical
-// models — the worklist performs exactly the restart scan's collapse
-// sequence (see collapseWorklist) — but they examine state pairs in
-// different orders, so when a provenance log is attached the canonical
-// restart-scan order is used: the audit log's decision sequence is a
-// documented, replayable format (internal/obs) that must not depend on
-// which engine produced the model. All repeated evaluations still hit
-// the mergeability memo either way.
+// joinPooledWith routes JoinPooled through a merger (see simplifyWith):
+// the phase-1 fold over the pooled states, then finishJoin.
 func joinPooledWith(mg merger, m *Model) *Model {
 	// Merged state ids are tracked in an alias table and the transitions
 	// are rewired once at the end — collapsing is then O(alts), not O(T).
 	alias := map[int]int{}
-	joinPhase1(&mg, m, alias)
-	if mg.prov != nil || mg.forceScan {
-		joinFixpointScan(&mg, m, alias)
-	} else {
-		collapseWorklist(&mg, m, alias)
+	foldPooled(&mg, m, alias)
+	return finishJoin(&mg, m, alias)
+}
+
+// foldPooled runs the phase-1 fold over every pooled state in order,
+// compacting the survivors in place behind a write cursor.
+func foldPooled(mg *merger, m *Model, alias map[int]int) {
+	kept := m.States[:0]
+	for _, s := range m.States {
+		kept = foldState(mg, kept, s, alias, m.Initials)
 	}
+	clear(m.States[len(kept):]) // release the merged states
+	m.States = kept
+}
+
+// foldState is one step of the join's greedy clustering pass (phase 1):
+// fold s into the first kept state it is mergeable with, or keep it.
+// Walking the pooled states through it brings the state count down from
+// O(trace length) to the number of distinct power behaviours in one
+// linear pass. The pass is a left fold — each decision depends only on
+// the states before it — which is what lets Joiner maintain its result
+// incrementally across streaming snapshots; JoinPooled and Joiner.Add
+// both fold through here.
+func foldState(mg *merger, kept []*State, s *State, alias, initials map[int]int) []*State {
+	for _, k := range kept {
+		if mg.mergeable(k, s) {
+			mergeStates(alias, initials, k, s)
+			return kept
+		}
+	}
+	return append(kept, s)
+}
+
+// finishJoin runs the order-dependent fixpoint over the phase-1
+// survivors, then rewires the transitions through the accumulated
+// aliases and renumbers the states. It mutates and returns m.
+func finishJoin(mg *merger, m *Model, alias map[int]int) *Model {
+	collapseWorklist(mg, m, alias)
 	resolveTransitions(m, alias)
 	reindex(m)
 	return m
 }
 
-// joinPhase1 is the greedy clustering pass: walk the pooled states in
-// order and fold each into the first already-kept state it is mergeable
-// with. This brings the state count down from O(trace length) to the
-// number of distinct power behaviours in one linear pass. The pass is a
-// left fold — each decision depends only on the states before it — which
-// is what lets Joiner maintain its result incrementally across
-// streaming snapshots.
-func joinPhase1(mg *merger, m *Model, alias map[int]int) {
-	kept := 0
-	for i := 0; i < len(m.States); {
-		merged := false
-		for j := 0; j < kept; j++ {
-			if mg.mergeable(m.States[j], m.States[i]) {
-				collapse(m, alias, j, i)
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			// Keep: move into the kept prefix (it already is — collapse
-			// removes merged entries, so position i becomes kept).
-			kept++
-			i = kept
-		}
-	}
-}
-
-// joinFixpointScan is the reference fixpoint engine: pooling moved the
-// kept states' means, so pairs that were not mergeable against the early
-// evidence may be now; rescan all pairs from the top after every
-// collapse until none merges. Each collapse therefore costs a fresh
-// O(n²) pair scan — the superlinear core the worklist engine replaces —
-// but the scan visits pairs in the canonical order the provenance log
-// documents, so it remains the decision path whenever an audit log is
-// attached (every repeated verdict is a memo hit, so even this path no
-// longer recomputes the t-tests).
-func joinFixpointScan(mg *merger, m *Model, alias map[int]int) {
-	for {
-		found := false
-		for i := 0; i < len(m.States) && !found; i++ {
-			for j := i + 1; j < len(m.States) && !found; j++ {
-				if mg.mergeable(m.States[i], m.States[j]) {
-					collapse(m, alias, i, j)
-					found = true
-				}
-			}
-		}
-		if !found {
-			break
-		}
-	}
-}
-
 // pairItem is one candidate collapse in the worklist: the two states by
 // phase-2 rank, the versions of their evidence when the verdict was
-// computed, and the verdict's case (for the merge counters).
+// computed, and the accepting verdict (for the merge counters and the
+// provenance record made when the pair collapses).
 type pairItem struct {
 	ra, rb int // ranks (phase-2 entry order; order-isomorphic to slice position)
 	va, vb int // evidence versions at evaluation time
-	cse    int // MergeOutcome.Case of the accepting verdict
+	out    MergeOutcome
 }
 
 // pairHeap is a binary min-heap of mergeable pairs ordered
 // lexicographically by rank — the same "first pair in scan order" the
-// reference engine's restart scan selects.
+// reference restart scan (reference.go) selects.
 type pairHeap []pairItem
 
 func (h pairHeap) less(i, j int) bool {
@@ -509,6 +444,10 @@ func (h *pairHeap) pop() pairItem {
 // Per collapse the work drops from O(n²) re-evaluations to O(n) probes
 // (mostly memo hits), taking the fixpoint from ~O(n³) Evaluate calls to
 // O(n²) verdict lookups overall.
+//
+// Provenance follows the collapses: a rejected probe is recorded when it
+// is made, an accepted one only when its pair is popped fresh — the
+// moment it collapses — so every logged accept is a collapse.
 func collapseWorklist(mg *merger, m *Model, alias map[int]int) {
 	n := len(m.States)
 	if n < 2 {
@@ -519,14 +458,14 @@ func collapseWorklist(mg *merger, m *Model, alias map[int]int) {
 	ver := make([]int, n)
 	var h pairHeap
 
-	// probe records the decision for the counters and enqueues the pair
-	// when it is currently mergeable. Argument order is (earlier rank,
-	// later rank) — the reference scan's (i, j) order, which keeps the
-	// memo keys shared between both engines.
+	// probe decides one pair and enqueues it when it is currently
+	// mergeable. Argument order is (earlier rank, later rank) — the
+	// reference scan's (i, j) order, which keeps the memo keys shared
+	// between both engines.
 	probe := func(ra, rb int) {
 		out := mg.decide(byRank[ra], byRank[rb])
 		if out.Accept {
-			h.push(pairItem{ra: ra, rb: rb, va: ver[ra], vb: ver[rb], cse: out.Case})
+			h.push(pairItem{ra: ra, rb: rb, va: ver[ra], vb: ver[rb], out: out})
 		}
 	}
 
@@ -541,8 +480,8 @@ func collapseWorklist(mg *merger, m *Model, alias map[int]int) {
 			continue // stale: an endpoint died or its evidence changed
 		}
 		a, b := byRank[it.ra], byRank[it.rb]
+		mg.accept(a, b, it.out)
 		mergeStates(alias, m.Initials, a, b)
-		mg.countMerge(it.cse)
 		byRank[it.rb] = nil
 		ver[it.ra]++
 		// Re-enqueue only pairs involving the merged state; everything
@@ -559,7 +498,7 @@ func collapseWorklist(mg *merger, m *Model, alias map[int]int) {
 		}
 	}
 	// Compact the survivors in rank order — the order the reference
-	// engine's in-place removals preserve.
+	// scan's in-place removals preserve.
 	out := m.States[:0]
 	for _, s := range byRank {
 		if s != nil {
@@ -569,19 +508,12 @@ func collapseWorklist(mg *merger, m *Model, alias map[int]int) {
 	m.States = out
 }
 
-// collapse merges state index bi into state index ai: alternatives union
-// (counting duplicates), power pools, intervals concatenate. The merged
-// id is recorded in the alias table; transitions are rewired later in one
-// pass.
-func collapse(m *Model, alias map[int]int, ai, bi int) {
-	mergeStates(alias, m.Initials, m.States[ai], m.States[bi])
-	m.States = append(m.States[:bi], m.States[bi+1:]...)
-}
-
 // mergeStates folds state b into state a without touching the state
-// slice — the collapse half the worklist engine and the streaming Joiner
-// share with the reference engine, so every path merges evidence
-// identically.
+// slice: alternatives union (counting duplicates), power pools,
+// intervals concatenate. The merged id is recorded in the alias table;
+// transitions are rewired later in one pass. The phase-1 fold, the
+// worklist and the reference scan all merge through here, so every path
+// merges evidence identically.
 func mergeStates(alias, initials map[int]int, a, b *State) {
 	for _, alt := range b.Alts {
 		key := alt.Seq.Key()

@@ -30,21 +30,17 @@ type merger struct {
 	// memo caches Evaluate verdicts by moments pair; nil forces every
 	// check to recompute (the unmemoized reference configuration the
 	// benchmarks compare against).
-	memo *EvalMemo
-	// forceScan pins the canonical restart-scan fixpoint even without a
-	// provenance log (JoinPooledReferenceCtx — the old engine, kept as
-	// the benchmark baseline and differential-test oracle).
-	forceScan bool
-	prov      *obs.ProvenanceLog
-	checks    *obs.Counter    // one tick per mergeability probe
-	evals     *obs.Counter    // one tick per real Evaluate computation (memo miss)
-	cases     [4]*obs.Counter // indexed by MergeOutcome.Case, 1..3; ticks per collapse
+	memo   *EvalMemo
+	prov   *obs.ProvenanceLog
+	checks *obs.Counter    // one tick per mergeability probe
+	evals  *obs.Counter    // one tick per real Evaluate computation (memo miss)
+	cases  [4]*obs.Counter // indexed by MergeOutcome.Case, 1..3; ticks per collapse
 }
 
 // plainMerger is the sink-free merger of the non-context entry points.
-// Even without observation sinks it memoizes verdicts: the restart scans
-// of Simplify and the join fixpoint re-examine unchanged pairs
-// constantly, and a memoized verdict is exact (see EvalMemo).
+// Even without observation sinks it memoizes verdicts: Simplify's
+// repeated passes and the worklist's re-probes re-examine unchanged
+// pairs constantly, and a memoized verdict is exact (see EvalMemo).
 func plainMerger(policy MergePolicy, phase string, traceIdx int) merger {
 	return merger{policy: policy, phase: phase, trace: traceIdx, memo: NewEvalMemo(policy)}
 }
@@ -78,30 +74,33 @@ func (mg *merger) evaluate(a, b stats.Moments) MergeOutcome {
 	return out
 }
 
-// decide is the worklist engine's probe: a counted, memoized verdict
-// with no per-case accounting — the worklist enqueues accepting pairs
-// speculatively and only pairs that actually collapse count as merges
-// (countMerge), keeping the psm_merges_case* counters identical to the
-// reference engine's, where every accept is immediately a collapse.
-// The worklist runs only when no provenance log is attached, so decide
-// records nothing.
+// decide is one counted, memoized probe. A rejection is recorded at
+// once; an acceptance is left to accept, because the worklist enqueues
+// accepting pairs speculatively and only the ones that actually
+// collapse may count as merges or reach the provenance log.
 func (mg *merger) decide(a, b *State) MergeOutcome {
 	out := mg.evaluate(a.Power, b.Power)
 	mg.checks.Inc()
+	if !out.Accept {
+		mg.record(a, b, out)
+	}
 	return out
 }
 
-// countMerge ticks the per-case merge counter for one actual collapse.
-func (mg *merger) countMerge(cse int) {
-	if cse >= 1 && cse <= 3 {
-		mg.cases[cse].Inc()
+// accept accounts the accepting verdict of a pair about to collapse
+// (b into a): it ticks the per-case merge counter and records the
+// decision with the pre-merge evidence.
+func (mg *merger) accept(a, b *State, out MergeOutcome) {
+	if out.Case >= 1 && out.Case <= 3 {
+		mg.cases[out.Case].Inc()
 	}
+	mg.record(a, b, out)
 }
 
-// mergeable decides whether two states' power attributes merge,
-// recording the decision when a sink is attached. In the scan engines
-// every accepted probe collapses immediately, so per-case counters tick
-// here on accept.
+// mergeable decides whether two states' power attributes merge for a
+// caller that collapses every accepted pair at once (simplify, the
+// phase-1 fold, the reference scan), accounting the decision when a
+// sink is attached.
 func (mg *merger) mergeable(a, b *State) bool {
 	if mg.prov == nil && mg.checks == nil {
 		if mg.memo == nil {
@@ -109,10 +108,17 @@ func (mg *merger) mergeable(a, b *State) bool {
 		}
 		return mg.memo.Evaluate(a.Power, b.Power).Accept
 	}
-	out := mg.evaluate(a.Power, b.Power)
-	mg.checks.Inc()
+	out := mg.decide(a, b)
 	if out.Accept {
-		mg.countMerge(out.Case)
+		mg.accept(a, b, out)
+	}
+	return out.Accept
+}
+
+// record appends one decision to the provenance log, if any.
+func (mg *merger) record(a, b *State, out MergeOutcome) {
+	if mg.prov == nil {
+		return
 	}
 	mg.prov.Record(obs.MergeDecision{
 		Phase:     mg.phase,
@@ -126,7 +132,6 @@ func (mg *merger) mergeable(a, b *State) bool {
 		T:         out.T,
 		Accept:    out.Accept,
 	})
-	return out.Accept
 }
 
 func momentsRecord(id int, m stats.Moments) obs.MomentsRecord {
@@ -177,22 +182,6 @@ func JoinPooledMemoCtx(ctx context.Context, m *Model, memo *EvalMemo) *Model {
 	_, span := obs.Start(ctx, "collapse", obs.KV("states_in", len(m.States)))
 	mg := newMerger(ctx, memo.Policy(), phaseJoin, -1)
 	mg.memo = memo
-	out := joinPooledWith(mg, m)
-	span.SetAttr("states_out", len(out.States))
-	span.End()
-	return out
-}
-
-// JoinPooledReferenceCtx is JoinPooledCtx pinned to the unmemoized
-// restart-scan engine — the join exactly as shipped before the
-// incremental engine landed. It exists for the differential parity
-// tests and the scaling benchmarks, which need the historical baseline
-// as an oracle; production callers want JoinPooledCtx.
-func JoinPooledReferenceCtx(ctx context.Context, m *Model, policy MergePolicy) *Model {
-	_, span := obs.Start(ctx, "collapse", obs.KV("states_in", len(m.States)))
-	mg := newMerger(ctx, policy, phaseJoin, -1)
-	mg.memo = nil
-	mg.forceScan = true
 	out := joinPooledWith(mg, m)
 	span.SetAttr("states_out", len(out.States))
 	span.End()

@@ -207,9 +207,8 @@ func (m *Model) OutgoingEnabled(id, prop int) []Transition {
 
 // CloneModel deep-copies a model: states (sharing nothing mutable),
 // transitions and initials. The dictionary is shared — it is immutable
-// once published. The streaming engine snapshots its live pooled model
-// through this before running the mutating JoinPooled collapse, so the
-// pool keeps accepting Concat folds while snapshots are served.
+// once published. Callers that must keep a pooled model intact clone it
+// through this before running the mutating JoinPooled collapse.
 func CloneModel(m *Model) *Model {
 	out := &Model{
 		Dict:        m.Dict,

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -264,7 +265,7 @@ func (c *Coordinator) Open(ctx context.Context, id string, sigs []trace.Signal) 
 		c.schema = append([]trace.Signal(nil), sigs...)
 		c.inputCols = cols
 		c.candidates = mining.CandidateAtoms(c.schema)
-	} else if !sameSchema(c.schema, sigs) {
+	} else if !slices.Equal(c.schema, sigs) {
 		c.mu.Unlock()
 		return nil, fmt.Errorf("stream: session schema differs from the engine's (%d signals)", len(c.schema))
 	}
@@ -641,16 +642,4 @@ func (sh *shard) handleLines(t task) {
 	if err := ws.sess.AppendBatch(ws.rows, ws.pows); err != nil {
 		ws.kill(err)
 	}
-}
-
-func sameSchema(a, b []trace.Signal) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -4,7 +4,7 @@
 // dedicated worker behind a bounded queue (backpressure instead of
 // unbounded buffering), and a cross-shard snapshot re-interns the shard
 // dictionaries into one canonical global dictionary and collapses the
-// shards' chains with the batch Concat/JoinPooled algebra — so the
+// shards' chains with the batch Pool/JoinPooled path — so the
 // served model is byte-identical to a single engine over the same
 // sessions in canonical order, for any shard count and any
 // interleaving (pinned by the cross-shard parity suite).

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -143,7 +144,7 @@ func (c *Coordinator) Snapshot(ctx context.Context) (*psm.Model, error) {
 	// chains (they rebuild inside ExportChains) and every memoized
 	// verdict (different propositions, same moments would be a lie —
 	// see psm.Joiner.Reset for the same boundary in the fold engine).
-	rebuild := !equalInts(idx, c.lastKept)
+	rebuild := !slices.Equal(idx, c.lastKept)
 	if rebuild {
 		c.lastKept = append([]int(nil), idx...)
 		c.memo.Reset()
@@ -371,15 +372,3 @@ func (c *Coordinator) Metrics() stream.Metrics {
 
 // Shed returns the total number of shed append batches across shards.
 func (c *Coordinator) Shed() int64 { return c.mShed.Value() }
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -279,7 +280,7 @@ func (e *Engine) Open(sigs []trace.Signal) (*Session, error) {
 		e.inputCols = cols
 		e.candidates = mining.CandidateAtoms(e.schema)
 		e.stats = make([]mining.AtomStats, len(e.candidates))
-	} else if !sameSchema(e.schema, sigs) {
+	} else if !slices.Equal(e.schema, sigs) {
 		return nil, fmt.Errorf("stream: session schema differs from the engine's (%d signals)", len(e.schema))
 	}
 	e.openCount++
@@ -327,7 +328,7 @@ func (s *Session) Append(row []logic.Vector, power float64) error {
 
 	s.buf = s.obs.Observe(row, s.buf)
 	d := s.data
-	if n := len(d.runs); n > 0 && equalWords(d.runs[n-1].sig, s.buf) {
+	if n := len(d.runs); n > 0 && slices.Equal(d.runs[n-1].sig, s.buf) {
 		d.runs[n-1].n++
 	} else {
 		d.runs = append(d.runs, sigRun{sig: append([]uint64(nil), s.buf...), n: 1})
@@ -394,7 +395,7 @@ func (s *Session) AppendBatch(rows [][]logic.Vector, powers []float64) error {
 	d := s.data
 	for k := range rows {
 		sig := s.batch[k*words : (k+1)*words]
-		if n := len(d.runs); n > 0 && equalWords(d.runs[n-1].sig, sig) {
+		if n := len(d.runs); n > 0 && slices.Equal(d.runs[n-1].sig, sig) {
 			d.runs[n-1].n++
 		} else {
 			d.runs = append(d.runs, sigRun{sig: append([]uint64(nil), sig...), n: 1})
@@ -563,7 +564,7 @@ func (e *Engine) Snapshot(ctx context.Context) (*psm.Model, error) {
 // (it owns the joiner), ExportChains does not (the cross-shard join
 // pools the raw chains instead).
 func (e *Engine) ensureEpoch(ctx context.Context, idx []int) (rebuilt bool, err error) {
-	rebuilt = !equalInts(idx, e.keptIdx)
+	rebuilt = !slices.Equal(idx, e.keptIdx)
 	if rebuilt {
 		// Epoch change: the new evidence moved the kept atom set, so every
 		// proposition id and chain is void. Rebuild from the stored
@@ -698,40 +699,4 @@ func inputColumns(sigs []trace.Signal, names []string) ([]int, error) {
 		cols = append(cols, col)
 	}
 	return cols, nil
-}
-
-func sameSchema(a, b []trace.Signal) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalWords(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

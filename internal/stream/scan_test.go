@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -433,7 +434,7 @@ func TestAppendBatchMatchesSequential(t *testing.T) {
 			t.Fatalf("batch %d: run counts %d vs %d", batchSize, len(a.runs), len(b.runs))
 		}
 		for i := range a.runs {
-			if a.runs[i].n != b.runs[i].n || !equalWords(a.runs[i].sig, b.runs[i].sig) {
+			if a.runs[i].n != b.runs[i].n || !slices.Equal(a.runs[i].sig, b.runs[i].sig) {
 				t.Fatalf("batch %d: run %d differs", batchSize, i)
 			}
 		}

@@ -64,7 +64,7 @@ func main() {
 	maxLine := flag.Int("max-line-bytes", 1<<20, "NDJSON line length limit for uploads")
 	ingestBatch := flag.Int("ingest-batch", 256, "records per ingest batch (amortizes the atom-signature reduction)")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "worker goroutines for snapshot rebuilds (model is identical for any value)")
-	joinMemo := flag.Int("join-memo", 0, "merge-verdict memo entry bound for the incremental join (0 = package default)")
+	joinMemo := flag.Int("join-memo", 0, "merge-verdict memo entry bound of the live incremental join — the engine's, or the shard coordinator's under -shards (0 = package default)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
 	tracePath := flag.String("trace", "", "write NDJSON span events (ingest, snapshot, join) to this file; prints the span summary at shutdown")
 	logLevel := flag.String("log-level", "info", "minimum log level (debug|info|warn|error)")

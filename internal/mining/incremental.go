@@ -156,16 +156,20 @@ func ProjectSignature(bits []uint64, keptIdx []int) uint64 {
 	return sig
 }
 
-// NewDictionary returns an empty dictionary over an already-selected atom
-// set, ready for sequential Intern replay in trace order. It is how the
-// streaming engine rebuilds (or extends) the vocabulary the batch miner
-// would have produced.
-func NewDictionary(signals []trace.Signal, kept []Atom) *Dictionary {
-	return &Dictionary{
+// NewDictionary returns an empty dictionary over the candidates that
+// keptIdx selects (SelectIndices' result), ready for sequential Intern
+// replay in trace order. It is how the streaming engine rebuilds (or
+// extends) the vocabulary the batch miner would have produced.
+func NewDictionary(signals []trace.Signal, candidates []Atom, keptIdx []int) *Dictionary {
+	d := &Dictionary{
 		Signals: append([]trace.Signal(nil), signals...),
-		Atoms:   append([]Atom(nil), kept...),
+		Atoms:   make([]Atom, len(keptIdx)),
 		index:   map[uint64]int{},
 	}
+	for i, ci := range keptIdx {
+		d.Atoms[i] = candidates[ci]
+	}
+	return d
 }
 
 // Intern returns the proposition id of a kept-atom signature, assigning

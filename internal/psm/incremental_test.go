@@ -333,9 +333,6 @@ func TestEvalMemo(t *testing.T) {
 	if mo.Evals() != 2 {
 		t.Fatalf("swapped order was served from cache: %d evals, want 2", mo.Evals())
 	}
-	if got := mo.Policy(); got != DefaultMergePolicy() {
-		t.Fatalf("memo policy %+v, want the default", got)
-	}
 }
 
 // TestEvalMemoLimit: at the entry bound the memo resets wholesale and

@@ -26,8 +26,9 @@ import (
 // stays byte-identical to Join over the full chain list (pinned by
 // TestJoinerMatchesJoin and the streaming parity suite).
 //
-// A Joiner is not goroutine-safe; the streaming engine owns one under
-// its lock.
+// A Joiner is not goroutine-safe; stream.LiveJoin owns one, serialized
+// by its owner (the engine lock, or the shard coordinator's snapshot
+// lock).
 type Joiner struct {
 	policy MergePolicy
 	// memo caches mergeability verdicts across Add calls and snapshots

@@ -58,10 +58,6 @@ func (mo *EvalMemo) SetLimit(n int) {
 	mo.limit = n
 }
 
-// Policy returns the merge policy the memo's verdicts were computed
-// under.
-func (mo *EvalMemo) Policy() MergePolicy { return mo.policy }
-
 // Reset drops every cached verdict and zeroes the eval/hit accounting
 // in one step; the policy and entry bound survive. Joiner.Reset calls
 // it at an epoch boundary so the memo's counters always describe one

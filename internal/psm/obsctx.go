@@ -171,23 +171,6 @@ func JoinPooledCtx(ctx context.Context, m *Model, policy MergePolicy) *Model {
 	return out
 }
 
-// JoinPooledMemoCtx is JoinPooledCtx with a caller-owned verdict memo:
-// repeated joins of a slowly-growing pool reuse verdicts across calls
-// exactly as a Joiner's fold does (verdicts are pure in the moments
-// pair). The merge policy is the memo's; the produced model is
-// identical to JoinPooled's under that policy for any memo state. The
-// cross-shard snapshot path keeps one memo across coordinator
-// snapshots this way.
-func JoinPooledMemoCtx(ctx context.Context, m *Model, memo *EvalMemo) *Model {
-	_, span := obs.Start(ctx, "collapse", obs.KV("states_in", len(m.States)))
-	mg := newMerger(ctx, memo.Policy(), phaseJoin, -1)
-	mg.memo = memo
-	out := joinPooledWith(mg, m)
-	span.SetAttr("states_out", len(out.States))
-	span.End()
-	return out
-}
-
 // CalibrateCtx is Calibrate under a "calibrate" span; the number of
 // fitted states feeds the psm_calibration_fits_total counter.
 func CalibrateCtx(ctx context.Context, m *Model, fts []*trace.Functional, pws []*trace.Power, inputCols []int, policy CalibrationPolicy) int {

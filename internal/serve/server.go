@@ -371,7 +371,7 @@ func (s *Server) ingestError(w http.ResponseWriter, err error) {
 	case errors.As(err, &sat):
 		code = http.StatusTooManyRequests
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(sat.RetryAfter)))
-	case strings.Contains(err.Error(), "sessions already open"):
+	case errors.Is(err, stream.ErrSessionLimit):
 		code = http.StatusTooManyRequests
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
 	}
@@ -640,6 +640,21 @@ func (s *Server) handleTracesSharded(w http.ResponseWriter, r *http.Request, beg
 	writeJSON(w, http.StatusOK, ingestResult{Trace: local, Records: n, Shard: &shardIdx})
 }
 
+// snapshotError answers a failed snapshot or provenance replay: nothing
+// when the client cancelled (it is gone, and the SLO middleware must not
+// bill its departure as a server failure), 404 before any trace
+// completed, 500 otherwise.
+func snapshotError(w http.ResponseWriter, r *http.Request, err error) {
+	if ctxErr := r.Context().Err(); ctxErr != nil && errors.Is(err, ctxErr) {
+		return
+	}
+	code := http.StatusInternalServerError
+	if errors.Is(err, stream.ErrNoTraces) {
+		code = http.StatusNotFound
+	}
+	http.Error(w, err.Error(), code)
+}
+
 // handleModel exports the live model after the psmlint rule set clears
 // it: a model that fails verification is a pipeline bug and must not
 // leave the process looking like a result.
@@ -650,14 +665,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	}
 	m, err := s.snapshot(r.Context())
 	if err != nil {
-		code := http.StatusInternalServerError
-		if strings.Contains(err.Error(), "no completed traces") {
-			code = http.StatusNotFound
-		}
-		if errors.Is(err, r.Context().Err()) && r.Context().Err() != nil {
-			return
-		}
-		http.Error(w, err.Error(), code)
+		snapshotError(w, r, err)
 		return
 	}
 	rep := check.VerifyPSM(m, "live", s.cfg.CheckOptions)
@@ -695,11 +703,7 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 	}
 	ds, err := s.provenance(r.Context())
 	if err != nil {
-		code := http.StatusInternalServerError
-		if strings.Contains(err.Error(), "no completed traces") {
-			code = http.StatusNotFound
-		}
-		http.Error(w, err.Error(), code)
+		snapshotError(w, r, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -731,11 +735,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	m, err := s.snapshot(r.Context())
 	if err != nil {
-		code := http.StatusInternalServerError
-		if strings.Contains(err.Error(), "no completed traces") {
-			code = http.StatusNotFound
-		}
-		http.Error(w, err.Error(), code)
+		snapshotError(w, r, err)
 		return
 	}
 

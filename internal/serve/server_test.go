@@ -336,6 +336,48 @@ func TestIngestErrors(t *testing.T) {
 	}
 }
 
+// TestCancelledSnapshotIsNotAServerError pins the snapshot error
+// mapping on both backends: a request whose client already left gets no
+// response, and psmd_errors_total (the /v1/status error burn) does not
+// count it as a server failure — on /v1/estimate and /v1/model alike.
+func TestCancelledSnapshotIsNotAServerError(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		cfg := DefaultConfig()
+		cfg.Stream.Inputs = []string{"op"}
+		cfg.Shards = shards
+		srv := New(cfg)
+		h := srv.Handler()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/traces", genNDJSON(t, 1, 80, true)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("shards %d: upload status %d: %s", shards, rec.Code, rec.Body)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		for _, req := range []*http.Request{
+			httptest.NewRequest(http.MethodPost, "/v1/estimate", genNDJSON(t, 2, 20, false)),
+			httptest.NewRequest(http.MethodGet, "/v1/model", nil),
+		} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req.WithContext(ctx))
+			if rec.Body.Len() != 0 {
+				t.Fatalf("shards %d: %s under a cancelled request answered: %s", shards, req.URL.Path, rec.Body)
+			}
+		}
+		reg := srv.registry().Snapshot()
+		if errs := reg.Counters["psmd_errors_total"]; errs != 0 {
+			t.Fatalf("shards %d: cancelled snapshots counted as %d server errors", shards, errs)
+		}
+		if reqs := reg.Counters["psmd_requests_total"]; reqs != 3 {
+			t.Fatalf("shards %d: %d requests counted, want 3", shards, reqs)
+		}
+		if err := srv.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestDisconnectAbortsSession drops the connection mid-upload and checks
 // the session aborts without touching the model.
 func TestDisconnectAbortsSession(t *testing.T) {

@@ -12,7 +12,6 @@ import (
 	"psmkit/internal/logic"
 	"psmkit/internal/mining"
 	"psmkit/internal/obs"
-	"psmkit/internal/psm"
 	"psmkit/internal/stream"
 	"psmkit/internal/trace"
 )
@@ -96,25 +95,16 @@ var errClosed = errors.New("shard: coordinator closed")
 // scales ingest across cores. Snapshot joins the shards back into one
 // model that is byte-identical to a single engine fed the same sessions
 // in canonical order — shard-major: all of shard 0's sessions in their
-// completion order, then shard 1's, and so on.
+// completion order, then shard 1's, and so on. The join is the engine's
+// own incremental one (stream.LiveJoin), fed only the sessions completed
+// since the previous snapshot.
 type Coordinator struct {
 	cfg    Config
 	ring   *ring
 	shards []*shard
 	reg    *obs.Registry
 
-	// Fleet-level instruments. Snapshot accounting (latency, rebuilds,
-	// states pooled/served) describes the global cross-shard join — the
-	// per-shard joiners never run under a coordinator.
-	mSnapshots *obs.Counter
-	mRebuilds  *obs.Counter
-	mDelta     *obs.Counter
-	mJoinNanos *obs.Counter
-	mShed      *obs.Counter
-	gPooled    *obs.Gauge
-	gServed    *obs.Gauge
-	hJoin      *obs.Histogram
-	hJoinWin   *obs.WindowedHistogram
+	mShed *obs.Counter // fleet-wide shed batches
 
 	// Schema state: the coordinator pins one global schema (mining
 	// requires a uniform training schema) before any session reaches a
@@ -125,11 +115,18 @@ type Coordinator struct {
 	candidates []mining.Atom
 	autoID     int64
 
-	// Snapshot state, serialized by snapMu: the cross-snapshot verdict
-	// memo and the last global kept atom set (the global epoch).
-	snapMu   sync.Mutex
-	memo     *psm.EvalMemo
-	lastKept []int
+	// Cross-shard fold state, serialized by snapMu: the live join over
+	// the shards' chains in shard-major order (its accounting is the
+	// fleet's snapshot accounting — the shard engines never join), the
+	// global kept atom set and dictionary the chains are remapped into,
+	// each shard's local→global proposition table and each shard's
+	// folded session count. See Snapshot for when they reset.
+	snapMu  sync.Mutex
+	live    *stream.LiveJoin
+	keptIdx []int
+	gdict   *mining.Dictionary
+	props   [][]int
+	folded  []int
 
 	stopc     chan struct{}
 	wg        sync.WaitGroup
@@ -157,23 +154,13 @@ func New(cfg Config) *Coordinator {
 		reg = obs.NewRegistry()
 	}
 	n := cfg.shards()
-	memo := psm.NewEvalMemo(cfg.Stream.Merge)
-	memo.SetLimit(cfg.Stream.JoinMemoEntries)
 	c := &Coordinator{
-		cfg:        cfg,
-		ring:       newRing(n),
-		reg:        reg,
-		memo:       memo,
-		mSnapshots: reg.Counter("psmd_snapshots_total"),
-		mRebuilds:  reg.Counter("psmd_rebuilds_total"),
-		mDelta:     reg.Counter("psmd_snapshots_delta_total"),
-		mJoinNanos: reg.Counter("psmd_join_nanos_total"),
-		mShed:      reg.Counter("psmd_shed_total"),
-		gPooled:    reg.Gauge("psmd_states_pooled"),
-		gServed:    reg.Gauge("psmd_states_served"),
-		hJoin:      reg.Histogram("psmd_join_latency_ms", stream.LatencyBuckets),
-		hJoinWin:   reg.Window("psmd_join_latency_ms_window", stream.LatencyBuckets, obs.DefaultWindowInterval, obs.DefaultWindowSlots),
-		stopc:      make(chan struct{}),
+		cfg:   cfg,
+		ring:  newRing(n),
+		reg:   reg,
+		live:  stream.NewLiveJoin(cfg.Stream, reg),
+		mShed: reg.Counter("psmd_shed_total"),
+		stopc: make(chan struct{}),
 	}
 	for i := 0; i < n; i++ {
 		scfg := cfg.Stream
@@ -213,7 +200,7 @@ func (c *Coordinator) Registry() *obs.Registry { return c.reg }
 
 // JoinLatencyWindow returns the cross-shard join latency distribution
 // over the most recent sliding window (the /v1/status feed).
-func (c *Coordinator) JoinLatencyWindow() obs.HistogramSnapshot { return c.hJoinWin.Snapshot() }
+func (c *Coordinator) JoinLatencyWindow() obs.HistogramSnapshot { return c.live.JoinLatencyWindow() }
 
 // Schema returns the pinned global schema (nil before the first Open).
 func (c *Coordinator) Schema() []trace.Signal {

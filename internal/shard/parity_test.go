@@ -11,6 +11,7 @@ import (
 
 	"psmkit/internal/logic"
 	"psmkit/internal/mining"
+	"psmkit/internal/obs"
 	"psmkit/internal/pipeline"
 	"psmkit/internal/psm"
 	"psmkit/internal/shard"
@@ -271,7 +272,10 @@ func rrReset()       { rrN = 0 }
 // path: snapshot after each completed session and compare with batch
 // over the canonical prefix. Early snapshots move the globally-selected
 // kept atom set (global epoch rebuilds, shard cache rebuilds), later
-// ones reuse every shard's epoch cache.
+// ones reuse every shard's epoch cache. The rebuild counter must move
+// exactly when the kept set moved or a session completed on a shard
+// below the last folded one (the new shard-major sequence does not
+// extend the folded one), and every other snapshot is a delta.
 func TestCrossShardSnapshotAfterEveryTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	c := genParityCase(rng)
@@ -284,6 +288,9 @@ func TestCrossShardSnapshotAfterEveryTrace(t *testing.T) {
 
 	type done struct{ shardIdx, local, traceIdx int }
 	var closed []done
+	var kept []mining.Atom // kept set of the last served snapshot
+	lastFolded := -1       // last shard with sessions in the served model
+	reorder := false       // a session landed below lastFolded since then
 	for i := range c.fts {
 		s, err := co.Open(ctx, fmt.Sprintf("trace-%d", i), c.fts[i].Signals)
 		if err != nil {
@@ -312,12 +319,18 @@ func TestCrossShardSnapshotAfterEveryTrace(t *testing.T) {
 			order[j] = d.traceIdx
 		}
 
+		reorder = reorder || s.Shard() < lastFolded
+		before := co.Metrics()
 		live, liveErr := co.Snapshot(ctx)
 		batch, batchErr := batchModel(c, order)
 		if (liveErr != nil) != (batchErr != nil) {
 			t.Fatalf("prefix %v: shard err %v, batch err %v", order, liveErr, batchErr)
 		}
+		after := co.Metrics()
 		if liveErr != nil {
+			if after.Rebuilds != before.Rebuilds {
+				t.Fatalf("prefix %v: failed snapshot moved the rebuild counter", order)
+			}
 			continue
 		}
 		ld, lj := exports(t, live)
@@ -325,6 +338,23 @@ func TestCrossShardSnapshotAfterEveryTrace(t *testing.T) {
 		if ld != bd || lj != bj {
 			t.Fatalf("prefix %v: exports differ from batch", order)
 		}
+
+		keptMoved := !reflect.DeepEqual(live.Dict.Atoms, kept)
+		want := 0
+		if keptMoved || reorder {
+			want = 1
+		}
+		if got := after.Rebuilds - before.Rebuilds; got != want {
+			t.Fatalf("prefix %v: rebuild counter moved by %d (kept set moved %v, shard %d below last folded %d: %v)",
+				order, got, keptMoved, s.Shard(), lastFolded, reorder)
+		}
+		if after.Snapshots != after.Rebuilds+after.DeltaSnapshots {
+			t.Fatalf("prefix %v: %d snapshots ≠ %d rebuilds + %d delta",
+				order, after.Snapshots, after.Rebuilds, after.DeltaSnapshots)
+		}
+		kept = live.Dict.Atoms
+		lastFolded = canon[len(canon)-1].shardIdx
+		reorder = false
 	}
 }
 
@@ -451,5 +481,78 @@ func TestCrossShardLinesPathMatchesRows(t *testing.T) {
 	bd, bj := exports(t, b)
 	if ad != bd || aj != bj {
 		t.Fatal("lines-path model differs from rows-path model")
+	}
+}
+
+// streamWhole streams the case's trace i through the coordinator as one
+// session with the given id and closes it.
+func streamWhole(t testing.TB, co *shard.Coordinator, c parityCase, i int, id string) *shard.Session {
+	t.Helper()
+	ctx := context.Background()
+	s, err := co.Open(ctx, id, c.fts[i].Signals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < c.fts[i].Len(); r++ {
+		if err := s.AppendRows([][]logic.Vector{c.fts[i].Row(r)}, []float64{c.pws[i].Values[r]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := s.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestCrossShardSteadyStateSnapshotCost mirrors the stream suite's
+// TestSteadyStateSnapshotCost for the coordinator: when one new session
+// lands on the last shard with folded sessions, the snapshot folds only
+// that session, so its mergeability probes (psm_merge_checks_total)
+// must not grow with the pooled history. A 5× larger history must not
+// cost more than 2× the probes.
+func TestCrossShardSteadyStateSnapshotCost(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	c := genParityCase(rng)
+	mcfg, merge, _ := flowPolicies()
+	for _, n := range []int{1, 2, 4} {
+		probes := func(total int) int64 {
+			co := shard.New(shard.Config{
+				Shards: n,
+				Stream: stream.Config{Workers: 2, Mining: mcfg, Merge: merge, SkipCalibration: true, Inputs: c.inputs},
+			})
+			defer co.Close()
+			last := 0
+			for k := 0; k < total; k++ {
+				if s := streamWhole(t, co, c, 0, fmt.Sprintf("history-%d", k)); s.Shard() > last {
+					last = s.Shard()
+				}
+			}
+			if _, err := co.Snapshot(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			id := "probe-0"
+			for k := 1; co.ShardOf(id) != last; k++ {
+				id = fmt.Sprintf("probe-%d", k)
+			}
+			streamWhole(t, co, c, 0, id)
+			before := co.Metrics()
+			reg := obs.NewRegistry()
+			if _, err := co.Snapshot(obs.WithRegistry(context.Background(), reg)); err != nil {
+				t.Fatal(err)
+			}
+			if m := co.Metrics(); m.DeltaSnapshots != before.DeltaSnapshots+1 {
+				t.Fatalf("shards %d pool=%d: measured snapshot did not take the delta path (%d rebuilds)", n, total, m.Rebuilds)
+			}
+			return reg.Snapshot().Counters["psm_merge_checks_total"]
+		}
+		small := probes(6)
+		large := probes(30)
+		if small == 0 {
+			t.Fatalf("shards %d: no mergeability probes counted — registry not reaching the join", n)
+		}
+		if large > 2*small {
+			t.Fatalf("shards %d: steady-state snapshot cost scales with pooled history: %d probes at pool=30 vs %d at pool=6",
+				n, large, small)
+		}
 	}
 }

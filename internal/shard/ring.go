@@ -2,10 +2,10 @@
 // coordinator partitions inbound sessions across N shards by consistent
 // hash on the session id, each shard reduces its sessions on a
 // dedicated worker behind a bounded queue (backpressure instead of
-// unbounded buffering), and a cross-shard snapshot re-interns the shard
-// dictionaries into one canonical global dictionary and collapses the
-// shards' chains with the batch Pool/JoinPooled path — so the
-// served model is byte-identical to a single engine over the same
+// unbounded buffering), and a cross-shard snapshot interns the shards'
+// new propositions into one canonical global dictionary and folds their
+// new chains into the engine's incremental join (stream.LiveJoin) — so
+// the served model is byte-identical to a single engine over the same
 // sessions in canonical order, for any shard count and any
 // interleaving (pinned by the cross-shard parity suite).
 package shard

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"psmkit/internal/mining"
 	"psmkit/internal/obs"
@@ -90,30 +89,18 @@ func (c *Coordinator) miningCut(candidates []mining.Atom) globalCut {
 //
 // The cut is taken under a fleet-wide hold (statistics, chains and
 // calibration series of one consistent per-shard prefix); the hold is
-// released before the expensive join, which runs on immutable exports.
-// The join reuses one cross-snapshot verdict memo, reset whenever the
-// globally-selected kept atom set moves (a global epoch boundary,
-// mirroring psm.Joiner.Reset).
+// released before the join, which runs on immutable exports. The join
+// is incremental, like a single engine's: only the sessions completed
+// since the previous snapshot are remapped into the global dictionary
+// and folded into the coordinator's LiveJoin, with their canonical
+// trace indices. It rebuilds — global dictionary, proposition tables,
+// folded counts and fold reset together — only when the globally
+// selected kept atom set moved, or when the new shard-major sequence
+// does not extend the folded one (a shard below the last shard with
+// folded sessions gained a session).
 func (c *Coordinator) Snapshot(ctx context.Context) (*psm.Model, error) {
-	//psmlint:ignore nondet-source join-latency metric only; never reaches the model
-	start := time.Now()
-	defer func() {
-		// Recorded on every outcome, including errors and cancellations —
-		// see Engine.Snapshot for why failed joins must show up here.
-		//psmlint:ignore nondet-source join-latency metric only; never reaches the model
-		el := time.Since(start)
-		c.mJoinNanos.Add(el.Nanoseconds())
-		ms := float64(el.Nanoseconds()) / 1e6
-		c.hJoin.Observe(ms)
-		c.hJoinWin.Observe(ms)
-	}()
-	if obs.RegistryFrom(ctx) == nil {
-		// Bill the global join's merge counters to the coordinator
-		// registry so they surface on /metrics.
-		ctx = obs.WithRegistry(ctx, c.reg)
-	}
-	ctx, span := obs.Start(ctx, "snapshot", obs.KV("shards", len(c.shards)))
-	defer span.End()
+	ctx, span, end := c.live.Start(ctx, obs.KV("shards", len(c.shards)))
+	defer end()
 	c.snapMu.Lock()
 	defer c.snapMu.Unlock()
 
@@ -121,7 +108,7 @@ func (c *Coordinator) Snapshot(ctx context.Context) (*psm.Model, error) {
 	schema, candidates := c.schema, c.candidates
 	c.mu.Unlock()
 	if len(candidates) == 0 {
-		return nil, fmt.Errorf("shard: no completed traces")
+		return nil, fmt.Errorf("shard: %w", stream.ErrNoTraces)
 	}
 
 	release, err := c.holdAll(ctx)
@@ -132,23 +119,12 @@ func (c *Coordinator) Snapshot(ctx context.Context) (*psm.Model, error) {
 
 	cut := c.miningCut(candidates)
 	if cut.traces == 0 {
-		return nil, fmt.Errorf("shard: no completed traces")
+		return nil, fmt.Errorf("shard: %w", stream.ErrNoTraces)
 	}
 	idx := mining.SelectIndices(candidates, cut.stats, cut.rows, c.cfg.Stream.Mining)
 	if len(idx) == 0 {
 		return nil, fmt.Errorf("shard: no atomic proposition survived filtering (%d candidates over %d instants)",
 			len(candidates), cut.rows)
-	}
-
-	// Global epoch accounting: a moved kept set voids every shard's
-	// chains (they rebuild inside ExportChains) and every memoized
-	// verdict (different propositions, same moments would be a lie —
-	// see psm.Joiner.Reset for the same boundary in the fold engine).
-	rebuild := !slices.Equal(idx, c.lastKept)
-	if rebuild {
-		c.lastKept = append([]int(nil), idx...)
-		c.memo.Reset()
-		span.SetAttr("rebuild", true)
 	}
 
 	exps := make([]stream.ShardExport, len(c.shards))
@@ -158,65 +134,48 @@ func (c *Coordinator) Snapshot(ctx context.Context) (*psm.Model, error) {
 		}
 	}
 	// The exports are immutable copies/shared-immutable storage: the
-	// expensive dictionary merge and join below run with the fleet
-	// already ingesting again.
+	// remap and join below run with the fleet already ingesting again.
 	release()
 
-	kept := make([]mining.Atom, len(idx))
-	for i, ci := range idx {
-		kept[i] = candidates[ci]
+	rebuild := !slices.Equal(idx, c.keptIdx)
+	last := -1 // the last shard with folded sessions
+	for i, n := range c.folded {
+		if n > 0 {
+			last = i
+		}
 	}
-	gdict := mining.NewDictionary(schema, kept)
+	for i := 0; i < last; i++ {
+		rebuild = rebuild || exps[i].Traces > c.folded[i]
+	}
+	if rebuild {
+		c.keptIdx = append([]int(nil), idx...)
+		c.gdict = mining.NewDictionary(schema, candidates, idx)
+		c.props = make([][]int, len(c.shards))
+		c.folded = make([]int, len(c.shards))
+		c.live.Reset()
+	}
 
-	// Canonical re-intern: shards in index order, each shard's local
-	// proposition ids in order. A shard dictionary's id order is the
-	// first-appearance order over that shard's sessions, so this global
-	// intern sequence is exactly the single engine's over the canonical
-	// session order — ids match byte for byte.
-	total := 0
-	for _, exp := range exps {
-		total += exp.Traces
-	}
-	chains := make([]*psm.Chain, 0, total)
-	hds := make([][]float64, 0, total)
-	pws := make([][]float64, 0, total)
-	base := 0
-	for _, exp := range exps {
-		props := make([]int, len(exp.PropKeys))
-		for j, key := range exp.PropKeys {
-			props[j] = gdict.Intern(key)
+	// Canonical intern and fold order: shards in index order, each
+	// shard's new local proposition ids and new sessions in order. A
+	// shard dictionary's id order is the first-appearance order over that
+	// shard's sessions, so the global intern sequence is exactly the
+	// single engine's over the canonical session order — ids match byte
+	// for byte — and extending it shard-major extends it in place.
+	var chains []*psm.Chain
+	var hds, pws [][]float64
+	for i, exp := range exps {
+		for _, key := range exp.PropKeys[len(c.props[i]):] {
+			c.props[i] = append(c.props[i], c.gdict.Intern(key))
 		}
-		for j, ch := range exp.Chains {
-			chains = append(chains, remapChain(ch, gdict, props, base+j))
+		base := len(hds)
+		for j := c.folded[i]; j < exp.Traces; j++ {
+			chains = append(chains, remapChain(exp.Chains[j], c.gdict, c.props[i], base+j))
 		}
+		c.folded[i] = exp.Traces
 		hds = append(hds, exp.HD...)
 		pws = append(pws, exp.PW...)
-		base += exp.Traces
 	}
-
-	pool := psm.Pool(chains)
-	pooled := len(pool.States)
-	snap := psm.JoinPooledMemoCtx(ctx, pool, c.memo)
-	if !c.cfg.Stream.SkipCalibration {
-		_, calSpan := obs.Start(ctx, "calibrate")
-		fits := psm.CalibrateSeries(snap, hds, pws, c.cfg.Stream.Calibration)
-		calSpan.SetAttr("fits", fits)
-		calSpan.End()
-	}
-	// gdict is private to this snapshot (chains are discarded), so the
-	// served model can own it directly; EvalRow readers never race.
-	snap.Dict = gdict
-
-	c.mSnapshots.Inc()
-	if rebuild {
-		c.mRebuilds.Inc()
-	} else {
-		c.mDelta.Inc()
-	}
-	c.gPooled.Set(float64(pooled))
-	c.gServed.Set(float64(len(snap.States)))
-	span.SetAttr("states", len(snap.States))
-	return snap, nil
+	return c.live.Serve(ctx, span, chains, c.gdict, hds, pws), nil
 }
 
 // Provenance re-derives every mergeability decision of the fleet's
@@ -235,7 +194,7 @@ func (c *Coordinator) Provenance(ctx context.Context) ([]obs.MergeDecision, erro
 	schema, candidates := c.schema, c.candidates
 	c.mu.Unlock()
 	if len(candidates) == 0 {
-		return nil, fmt.Errorf("shard: no completed traces")
+		return nil, fmt.Errorf("shard: %w", stream.ErrNoTraces)
 	}
 
 	release, err := c.holdAll(ctx)
@@ -246,18 +205,14 @@ func (c *Coordinator) Provenance(ctx context.Context) ([]obs.MergeDecision, erro
 
 	cut := c.miningCut(candidates)
 	if cut.traces == 0 {
-		return nil, fmt.Errorf("shard: no completed traces")
+		return nil, fmt.Errorf("shard: %w", stream.ErrNoTraces)
 	}
 	idx := mining.SelectIndices(candidates, cut.stats, cut.rows, c.cfg.Stream.Mining)
 	if len(idx) == 0 {
 		return nil, fmt.Errorf("shard: no atomic proposition survived filtering (%d candidates over %d instants)",
 			len(candidates), cut.rows)
 	}
-	kept := make([]mining.Atom, len(idx))
-	for i, ci := range idx {
-		kept[i] = candidates[ci]
-	}
-	dict := mining.NewDictionary(schema, kept)
+	dict := mining.NewDictionary(schema, candidates, idx)
 
 	log := obs.NewProvenanceLog()
 	ctx = obs.WithProvenance(ctx, log)
@@ -277,7 +232,7 @@ func (c *Coordinator) Provenance(ctx context.Context) ([]obs.MergeDecision, erro
 }
 
 // remapChain deep-copies one shard-local chain into the global
-// coordinate system: proposition ids through the shard's re-intern
+// coordinate system: proposition ids through the shard's local→global
 // table (props[local id] = global id) and every trace reference to the
 // chain's canonical global index. The remap is a bijective relabeling —
 // distinct shard-local ids carry distinct signatures, so distinct
@@ -344,28 +299,15 @@ func (c *Coordinator) ShardMetrics() []ShardMetric {
 
 // Metrics aggregates the fleet into one stream.Metrics: ingest counters
 // sum across shards; the snapshot accounting (snapshots, rebuilds,
-// states pooled/served, join latency) is the coordinator's own — it
-// describes the global cross-shard join, the only join that runs under
-// a coordinator.
+// states pooled/served, join latency) is the coordinator's LiveJoin —
+// the cross-shard join is the only join that runs under a coordinator.
 func (c *Coordinator) Metrics() stream.Metrics {
-	var m stream.Metrics
+	m := c.live.Metrics()
 	for _, sh := range c.shards {
 		em := sh.eng.Metrics()
 		m.RecordsIngested += em.RecordsIngested
 		m.OpenSessions += em.OpenSessions
 		m.TracesCompleted += em.TracesCompleted
-	}
-	hs := c.hJoin.Snapshot()
-	m.Snapshots = int(c.mSnapshots.Value())
-	m.Rebuilds = int(c.mRebuilds.Value())
-	m.DeltaSnapshots = int(c.mDelta.Value())
-	m.StatesPooled = int(c.gPooled.Value())
-	m.StatesServed = int(c.gServed.Value())
-	m.StatesMerged = m.StatesPooled - m.StatesServed
-	m.JoinNanos = c.mJoinNanos.Value()
-	m.JoinLatency = make([]int, len(hs.Counts))
-	for i, n := range hs.Counts {
-		m.JoinLatency[i] = int(n)
 	}
 	return m
 }

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"time"
 
 	"psmkit/internal/logic"
 	"psmkit/internal/mining"
@@ -41,10 +40,12 @@ type Config struct {
 	// one registry across engines in a process is the caller's choice —
 	// the counters are named per concern, not per engine.
 	Registry *obs.Registry
-	// JoinMemoEntries bounds the mergeability-verdict memo the
-	// incremental join keeps across snapshots (≤ 0 selects the psm
-	// package default). The memo resets wholesale at the bound; the
-	// model is unaffected either way (memoized verdicts are exact).
+	// JoinMemoEntries bounds the mergeability-verdict memo the live
+	// incremental join (LiveJoin) keeps across snapshots — the engine's,
+	// or a shard.Coordinator's when the engine runs as a shard (≤ 0
+	// selects the psm package default). The memo resets wholesale at the
+	// bound; the model is unaffected either way (memoized verdicts are
+	// exact).
 	JoinMemoEntries int
 }
 
@@ -103,15 +104,16 @@ type Metrics struct {
 	StatesPooled int
 	StatesServed int
 	StatesMerged int
-	// Rebuilds counts snapshots that invalidated the epoch cache (the
-	// kept atom set changed) and rebuilt every chain; incremental
-	// snapshots only fold the sessions completed since the previous one.
+	// Rebuilds counts resets of the live join: the kept atom set moved
+	// (or, under a shard.Coordinator, a shard below the last folded one
+	// gained a session) and every chain is folded again. A shard
+	// engine's own Rebuilds counts its chain-cache rebuilds.
 	Rebuilds int
-	// DeltaSnapshots counts snapshots served from a warm epoch cache:
-	// only the sessions completed since the previous snapshot were
-	// folded into the persistent join, and the collapse ran over the
-	// kept states instead of the whole pool. Rebuilds + DeltaSnapshots
-	// equals the successful snapshot count.
+	// DeltaSnapshots counts snapshots that only folded the sessions
+	// completed since the previous one and ran the collapse over the kept
+	// states instead of the whole pool. Rebuilds + DeltaSnapshots equals
+	// the successful snapshot count unless a reset was followed by a
+	// failed snapshot.
 	DeltaSnapshots int
 	// JoinNanos is the total time spent inside Snapshot; JoinLatency is
 	// its distribution (see LatencyBuckets). Failed and cancelled
@@ -148,30 +150,32 @@ var LatencyBuckets = obs.ExponentialBuckets(0.001, 4, 12)
 //     (mining.MineParallel's replay strategy), chains are built by the
 //     online XU segmenter (bit-identical to psm.Generate) and simplified
 //     with the batch psm.Simplify;
-//   - the live model is a persistent incremental join (psm.Joiner): each
-//     completed chain is folded once through the batch join's greedy
-//     clustering pass — a left fold, so folding chains in completion
-//     order equals pooling them all and clustering from scratch — and
-//     each Snapshot cheaply clones the fold's kept states and runs only
-//     the order-dependent fixpoint on the clone, followed by the batch
-//     calibration over the stored power/HD series. Steady-state snapshot
-//     cost therefore scales with the number of kept states and the new
-//     evidence since the last snapshot, not with the total pooled
-//     states (pinned by BenchmarkSnapshotSteadyState).
+//   - the live model is a persistent incremental join (LiveJoin over a
+//     psm.Joiner): each completed chain is folded once through the
+//     batch join's greedy clustering pass — a left fold, so folding
+//     chains in completion order equals pooling them all and clustering
+//     from scratch — and each Snapshot cheaply clones the fold's kept
+//     states and runs only the order-dependent fixpoint on the clone,
+//     followed by the batch calibration over the stored power/HD
+//     series. Steady-state snapshot cost therefore scales with the
+//     number of kept states and the new evidence since the last
+//     snapshot, not with the total pooled states (pinned by
+//     BenchmarkSnapshotSteadyState).
 //
 // The kept atom set depends on global statistics, so a completed session
 // can invalidate earlier decisions; the engine detects this by comparing
 // kept-atom indices per snapshot (an epoch) and rebuilds all chains from
 // the stored bitsets only then, folding incrementally otherwise. An
-// epoch change resets the joiner wholesale — fold, verdict memo and its
-// accounting together (see psm.Joiner.Reset) — so everything the joiner
-// reports describes the current epoch.
+// epoch change resets the live join wholesale — fold, verdict memo and
+// its accounting together (see psm.Joiner.Reset) — so everything the
+// joiner reports describes the current epoch.
 //
 // An engine can also run as one shard of a shard.Coordinator: the
 // coordinator imposes the globally-selected kept atom set through
-// ExportChains instead of letting the engine select its own, and joins
-// the shards' chains itself. The epoch cache works identically either
-// way — it is keyed on whatever kept set the caller brings.
+// ExportChains instead of letting the engine select its own, and folds
+// the shards' new chains into its own LiveJoin — the same incremental
+// join, fed in shard-major order. The epoch cache works identically
+// either way — it is keyed on whatever kept set the caller brings.
 type Engine struct {
 	cfg        Config
 	candidates []mining.Atom // fixed per schema
@@ -179,18 +183,10 @@ type Engine struct {
 	// Registry-backed instruments (handles resolved once at construction;
 	// the registry itself serves Prometheus/JSON export). mRecords is the
 	// lock-free append counter; everything else mutates under mu only.
-	reg        *obs.Registry
-	mRecords   *obs.Counter
-	mTraces    *obs.Counter
-	mSnapshots *obs.Counter
-	mRebuilds  *obs.Counter
-	mDelta     *obs.Counter
-	mJoinNanos *obs.Counter
-	gOpen      *obs.Gauge
-	gPooled    *obs.Gauge
-	gServed    *obs.Gauge
-	hJoin      *obs.Histogram
-	hJoinWin   *obs.WindowedHistogram
+	reg      *obs.Registry
+	mRecords *obs.Counter
+	mTraces  *obs.Counter
+	gOpen    *obs.Gauge
 
 	mu        sync.Mutex
 	schema    []trace.Signal
@@ -202,9 +198,8 @@ type Engine struct {
 	// epoch cache
 	keptIdx []int
 	dict    *mining.Dictionary
-	chains  []*psm.Chain // per completed session; nil entry = too short
-	joiner  *psm.Joiner  // incremental join over chains[0:built]
-	built   int
+	chains  []*psm.Chain // per completed session
+	live    *LiveJoin    // incremental join over chains[:live.Folded()]
 }
 
 // NewEngine returns an engine with no schema yet: the first session's
@@ -215,23 +210,13 @@ func NewEngine(cfg Config) *Engine {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	joiner := psm.NewJoiner(cfg.Merge)
-	joiner.SetMemoLimit(cfg.JoinMemoEntries)
 	return &Engine{
-		cfg:        cfg,
-		reg:        reg,
-		joiner:     joiner,
-		mRecords:   reg.Counter("psmd_records_ingested_total"),
-		mTraces:    reg.Counter("psmd_traces_completed_total"),
-		mSnapshots: reg.Counter("psmd_snapshots_total"),
-		mRebuilds:  reg.Counter("psmd_rebuilds_total"),
-		mDelta:     reg.Counter("psmd_snapshots_delta_total"),
-		mJoinNanos: reg.Counter("psmd_join_nanos_total"),
-		gOpen:      reg.Gauge("psmd_sessions_open"),
-		gPooled:    reg.Gauge("psmd_states_pooled"),
-		gServed:    reg.Gauge("psmd_states_served"),
-		hJoin:      reg.Histogram("psmd_join_latency_ms", LatencyBuckets),
-		hJoinWin:   reg.Window("psmd_join_latency_ms_window", LatencyBuckets, obs.DefaultWindowInterval, obs.DefaultWindowSlots),
+		cfg:      cfg,
+		reg:      reg,
+		live:     NewLiveJoin(cfg, reg),
+		mRecords: reg.Counter("psmd_records_ingested_total"),
+		mTraces:  reg.Counter("psmd_traces_completed_total"),
+		gOpen:    reg.Gauge("psmd_sessions_open"),
 	}
 }
 
@@ -242,7 +227,7 @@ func (e *Engine) Registry() *obs.Registry { return e.reg }
 // JoinLatencyWindow returns the join-latency distribution over the most
 // recent sliding window — the live counterpart of the cumulative
 // psmd_join_latency_ms histogram, feeding /v1/status quantiles.
-func (e *Engine) JoinLatencyWindow() obs.HistogramSnapshot { return e.hJoinWin.Snapshot() }
+func (e *Engine) JoinLatencyWindow() obs.HistogramSnapshot { return e.live.JoinLatencyWindow() }
 
 // Session is one open trace being streamed in. It is single-producer:
 // Append/Close/Abort must not be called concurrently on the same session,
@@ -266,7 +251,7 @@ func (e *Engine) Open(sigs []trace.Signal) (*Session, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.cfg.MaxOpenSessions > 0 && e.openCount >= e.cfg.MaxOpenSessions {
-		return nil, fmt.Errorf("stream: %d sessions already open (limit %d)", e.openCount, e.cfg.MaxOpenSessions)
+		return nil, fmt.Errorf("stream: %d %w (limit %d)", e.openCount, ErrSessionLimit, e.cfg.MaxOpenSessions)
 	}
 	if e.schema == nil {
 		if len(sigs) == 0 {
@@ -473,85 +458,35 @@ func (s *Session) Abort() {
 // byte-identical to pipeline.BuildModel over the same traces. Cancelling
 // ctx aborts the chain fan-out with ctx.Err().
 func (e *Engine) Snapshot(ctx context.Context) (*psm.Model, error) {
-	//psmlint:ignore nondet-source join-latency metric only; never reaches the model
-	start := time.Now()
-	// Latency is recorded on every outcome, including errors and
-	// cancellations: the time a failed snapshot burned under the engine
-	// lock is exactly what an operator alerting on join latency needs to
-	// see (a cancel storm that only ever shows up as absent samples
-	// would hide the regression that causes it).
-	defer func() {
-		//psmlint:ignore nondet-source join-latency metric only; never reaches the model
-		el := time.Since(start)
-		e.mJoinNanos.Add(el.Nanoseconds())
-		ms := float64(el.Nanoseconds()) / 1e6
-		e.hJoin.Observe(ms)
-		e.hJoinWin.Observe(ms)
-	}()
-	if obs.RegistryFrom(ctx) == nil {
-		// Bill the join's merge counters (checks, evals, cases) to the
-		// engine registry so they surface on /metrics; a caller-provided
-		// registry (tests, embedding tools) still wins.
-		ctx = obs.WithRegistry(ctx, e.reg)
-	}
-	ctx, span := obs.Start(ctx, "snapshot")
-	defer span.End()
+	ctx, span, end := e.live.Start(ctx)
+	defer end()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
 	if len(e.completed) == 0 {
-		return nil, fmt.Errorf("stream: no completed traces")
+		return nil, fmt.Errorf("stream: %w", ErrNoTraces)
 	}
 	idx := mining.SelectIndices(e.candidates, e.stats, e.totalRows, e.cfg.Mining)
 	if len(idx) == 0 {
 		return nil, fmt.Errorf("stream: no atomic proposition survived filtering (%d candidates over %d instants)",
 			len(e.candidates), e.totalRows)
 	}
-	rebuild, err := e.ensureEpoch(ctx, idx)
-	if err != nil {
+	if err := e.ensureEpoch(ctx, idx); err != nil {
 		return nil, err
 	}
-	if rebuild {
-		span.SetAttr("rebuild", true)
-	}
+	hds, pws := e.series()
+	return e.live.Serve(ctx, span, e.chains[e.live.Folded():], e.dict, hds, pws), nil
+}
 
-	// Incremental join fold: each chain not yet folded passes through the
-	// batch join's greedy clustering exactly once (the pass is a left
-	// fold over chains in completion order, so folding the delta equals
-	// pooling everything and clustering from scratch — see psm.Joiner).
-	for e.built < len(e.chains) {
-		e.joiner.Add(ctx, e.chains[e.built])
-		e.built++
+// series returns the completed sessions' input-HD and power series in
+// completion order (the calibration evidence). The caller holds e.mu.
+func (e *Engine) series() (hds, pws [][]float64) {
+	hds = make([][]float64, len(e.completed))
+	pws = make([][]float64, len(e.completed))
+	for i, d := range e.completed {
+		hds[i], pws[i] = d.hd, d.power
 	}
-
-	// Delta snapshot: clone the fold's kept states (cheap — shared
-	// immutable bulk) and run only the order-dependent fixpoint on the
-	// clone. Byte-identical to CloneModel+JoinPooled over the full pool.
-	pooled := e.joiner.Pooled()
-	snap := e.joiner.Snapshot(ctx)
-	if !e.cfg.SkipCalibration {
-		hds := make([][]float64, len(e.completed))
-		pws := make([][]float64, len(e.completed))
-		for i, d := range e.completed {
-			hds[i], pws[i] = d.hd, d.power
-		}
-		_, calSpan := obs.Start(ctx, "calibrate")
-		fits := psm.CalibrateSeries(snap, hds, pws, e.cfg.Calibration)
-		calSpan.SetAttr("fits", fits)
-		calSpan.End()
-	}
-	// Served models must outlive future interning: freeze a private
-	// dictionary copy so EvalRow readers never race Snapshot's writes.
-	snap.Dict = mining.FromSnapshot(e.dict.Snapshot())
-
-	e.mSnapshots.Inc()
-	if !rebuild {
-		e.mDelta.Inc()
-	}
-	e.gPooled.Set(float64(pooled))
-	e.gServed.Set(float64(len(snap.States)))
-	span.SetAttr("states", len(snap.States))
-	return snap, nil
+	return hds, pws
 }
 
 // ensureEpoch brings the epoch cache — dictionary and per-session
@@ -559,28 +494,18 @@ func (e *Engine) Snapshot(ctx context.Context) (*psm.Model, error) {
 // when idx differs from the cached epoch's. The caller holds e.mu and
 // brings whatever kept set governs it: Snapshot selects the engine's
 // own (local mining statistics), a shard coordinator imposes the
-// globally selected one through ExportChains. The incremental joiner
-// fold deliberately stays out of the cache maintenance: Snapshot folds
-// (it owns the joiner), ExportChains does not (the cross-shard join
-// pools the raw chains instead).
-func (e *Engine) ensureEpoch(ctx context.Context, idx []int) (rebuilt bool, err error) {
-	rebuilt = !slices.Equal(idx, e.keptIdx)
-	if rebuilt {
+// globally selected one through ExportChains. A rebuild resets the live
+// join with the cache, so its fold and rebuild count always describe
+// the cached chains; only Snapshot folds them.
+func (e *Engine) ensureEpoch(ctx context.Context, idx []int) error {
+	if !slices.Equal(idx, e.keptIdx) {
 		// Epoch change: the new evidence moved the kept atom set, so every
 		// proposition id and chain is void. Rebuild from the stored
-		// bitsets — the only path that is not incremental. The joiner
-		// reset clears its fold and verdict memo together (an epoch
-		// boundary, see psm.Joiner.Reset).
+		// bitsets — the only path that is not incremental.
 		e.keptIdx = append([]int(nil), idx...)
-		kept := make([]mining.Atom, len(idx))
-		for i, ci := range idx {
-			kept[i] = e.candidates[ci]
-		}
-		e.dict = mining.NewDictionary(e.schema, kept)
+		e.dict = mining.NewDictionary(e.schema, e.candidates, idx)
 		e.chains = nil
-		e.joiner.Reset()
-		e.built = 0
-		e.mRebuilds.Inc()
+		e.live.Reset()
 	}
 
 	// Sequential phase: intern new sessions' run signatures in trace
@@ -594,7 +519,7 @@ func (e *Engine) ensureEpoch(ctx context.Context, idx []int) (rebuilt bool, err 
 	// Parallel phase: per-session segmentation + Simplify over the
 	// pipeline pool.
 	newChains := make([]*psm.Chain, len(e.completed)-first)
-	err = pipeline.ForEach(ctx, e.cfg.workers(), len(newChains), func(wctx context.Context, k int) error {
+	err := pipeline.ForEach(ctx, e.cfg.workers(), len(newChains), func(wctx context.Context, k int) error {
 		i := first + k
 		newChains[k] = chainOfSession(wctx, e.dict, propIDs[i], i, e.completed[i], e.cfg.Merge)
 		return nil
@@ -602,18 +527,18 @@ func (e *Engine) ensureEpoch(ctx context.Context, idx []int) (rebuilt bool, err 
 	if err != nil {
 		// The fan-out is pure; dropping the partial results keeps the
 		// cache consistent (they rebuild on the next snapshot).
-		return rebuilt, err
+		return err
 	}
 	for _, c := range newChains {
 		if c == nil {
 			// Mirror the batch generator's hard error: a trace too short
 			// to expose a temporal pattern fails the whole build there.
-			return rebuilt, fmt.Errorf("stream: trace %d: proposition trace too short to expose a temporal pattern",
+			return fmt.Errorf("stream: trace %d: proposition trace too short to expose a temporal pattern",
 				len(e.chains))
 		}
 		e.chains = append(e.chains, c)
 	}
-	return rebuilt, nil
+	return nil
 }
 
 // Metrics returns the current counters. Everything except
@@ -624,23 +549,10 @@ func (e *Engine) ensureEpoch(ctx context.Context, idx []int) (rebuilt bool, err 
 func (e *Engine) Metrics() Metrics {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	hs := e.hJoin.Snapshot()
-	m := Metrics{
-		RecordsIngested: e.mRecords.Value(),
-		OpenSessions:    e.openCount,
-		TracesCompleted: len(e.completed),
-		Snapshots:       int(e.mSnapshots.Value()),
-		Rebuilds:        int(e.mRebuilds.Value()),
-		DeltaSnapshots:  int(e.mDelta.Value()),
-		StatesPooled:    int(e.gPooled.Value()),
-		StatesServed:    int(e.gServed.Value()),
-		JoinNanos:       e.mJoinNanos.Value(),
-		JoinLatency:     make([]int, len(hs.Counts)),
-	}
-	m.StatesMerged = m.StatesPooled - m.StatesServed
-	for i, n := range hs.Counts {
-		m.JoinLatency[i] = int(n)
-	}
+	m := e.live.Metrics()
+	m.RecordsIngested = e.mRecords.Value()
+	m.OpenSessions = e.openCount
+	m.TracesCompleted = len(e.completed)
 	return m
 }
 
@@ -659,18 +571,14 @@ func (e *Engine) Provenance(ctx context.Context) ([]obs.MergeDecision, error) {
 	defer e.mu.Unlock()
 
 	if len(e.completed) == 0 {
-		return nil, fmt.Errorf("stream: no completed traces")
+		return nil, fmt.Errorf("stream: %w", ErrNoTraces)
 	}
 	idx := mining.SelectIndices(e.candidates, e.stats, e.totalRows, e.cfg.Mining)
 	if len(idx) == 0 {
 		return nil, fmt.Errorf("stream: no atomic proposition survived filtering (%d candidates over %d instants)",
 			len(e.candidates), e.totalRows)
 	}
-	kept := make([]mining.Atom, len(idx))
-	for i, ci := range idx {
-		kept[i] = e.candidates[ci]
-	}
-	dict := mining.NewDictionary(e.schema, kept)
+	dict := mining.NewDictionary(e.schema, e.candidates, idx)
 
 	log := obs.NewProvenanceLog()
 	ctx = obs.WithProvenance(ctx, log)

@@ -290,6 +290,9 @@ func TestSnapshotAfterEveryTrace(t *testing.T) {
 	if m.TracesCompleted != len(c.fts) {
 		t.Fatalf("metrics report %d traces, want %d", m.TracesCompleted, len(c.fts))
 	}
+	if m.Snapshots != m.Rebuilds+m.DeltaSnapshots {
+		t.Fatalf("%d snapshots ≠ %d rebuilds + %d delta", m.Snapshots, m.Rebuilds, m.DeltaSnapshots)
+	}
 }
 
 // TestSnapshotIsRepeatable: two snapshots with no ingestion in between

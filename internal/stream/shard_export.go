@@ -40,15 +40,17 @@ func (e *Engine) MiningStats() (stats []mining.AtomStats, rows, traces int) {
 // ShardExport is one engine's contribution to a cross-shard snapshot,
 // everything shard-local: trace indices count this engine's completions
 // from zero and proposition ids are this engine's intern order. The
-// coordinator re-interns PropKeys into its canonical global dictionary
-// and remaps the chains; Chains and the HD/PW series share the engine's
-// immutable storage and must not be mutated.
+// coordinator interns the PropKeys it has not seen yet into its global
+// dictionary and remaps and folds only the chains it has not folded
+// yet; Chains and the HD/PW series share the engine's immutable storage
+// and must not be mutated.
 type ShardExport struct {
 	// Traces is the completed-session count this export covers
 	// (== len(Chains) == len(HD) == len(PW)).
 	Traces int
 	// PropKeys maps each shard-local proposition id to its kept-set
-	// truth signature — the dictionary re-intern source.
+	// truth signature — the global dictionary's intern source. Within
+	// one epoch it only grows, so earlier exports' keys are a prefix.
 	PropKeys []uint64
 	// Chains are the per-session simplified chains in completion order.
 	Chains []*psm.Chain
@@ -73,19 +75,15 @@ func (e *Engine) ExportChains(ctx context.Context, keptIdx []int) (ShardExport, 
 	if len(e.completed) == 0 {
 		return ShardExport{}, nil
 	}
-	if _, err := e.ensureEpoch(ctx, keptIdx); err != nil {
+	if err := e.ensureEpoch(ctx, keptIdx); err != nil {
 		return ShardExport{}, err
 	}
 	exp := ShardExport{
 		Traces:   len(e.completed),
 		PropKeys: e.dict.Snapshot().PropKeys,
 		Chains:   append([]*psm.Chain(nil), e.chains...),
-		HD:       make([][]float64, len(e.completed)),
-		PW:       make([][]float64, len(e.completed)),
 	}
-	for i, d := range e.completed {
-		exp.HD[i], exp.PW[i] = d.hd, d.power
-	}
+	exp.HD, exp.PW = e.series()
 	span.SetAttr("traces", exp.Traces)
 	return exp, nil
 }

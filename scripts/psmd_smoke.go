@@ -2,8 +2,9 @@
 // psmd and tracegen binaries end to end over HTTP — boot the daemon on an
 // ephemeral port with -shards=4, stream a generated RAM trace in, require
 // GET /v1/model to serve a verified model, require GET /metrics to report
-// the ingested record count fleet-wide plus one row per shard, and shut
-// the daemon down gracefully via SIGTERM.
+// the ingested record count fleet-wide plus one row per shard, require a
+// second GET /v1/model to serve the same bytes as a delta snapshot (no
+// rebuild), and shut the daemon down gracefully via SIGTERM.
 //
 // It exits 0 on success and 1 with a diagnostic on any failure, so it
 // slots into `make ci` next to the test and lint gates.
@@ -11,6 +12,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -133,6 +135,7 @@ func run() error {
 	if !strings.Contains(string(body), `"states"`) {
 		return fmt.Errorf("GET /v1/model: no states in export: %.120s", body)
 	}
+	model := body
 
 	// Metrics must account for every ingested record.
 	resp, err = http.Get(base + "/metrics")
@@ -146,6 +149,8 @@ func run() error {
 			RecordsIngested int64 `json:"records_ingested"`
 			TracesCompleted int   `json:"traces_completed"`
 			OpenSessions    int   `json:"open_sessions"`
+			Rebuilds        int   `json:"rebuilds"`
+			DeltaSnapshots  int   `json:"delta_snapshots"`
 			Shards          []struct {
 				Shard           int   `json:"shard"`
 				RecordsIngested int64 `json:"records_ingested"`
@@ -187,6 +192,33 @@ func run() error {
 	if mdoc.PSMD.Shards[*ack.Shard].RecordsIngested != traceInstants {
 		return fmt.Errorf("shard %d owned the session but reports %d records",
 			*ack.Shard, mdoc.PSMD.Shards[*ack.Shard].RecordsIngested)
+	}
+
+	// A repeated read with no new traffic takes the delta path: the same
+	// bytes, one more delta snapshot, no rebuild.
+	resp, err = http.Get(base + "/v1/model")
+	if err != nil {
+		return err
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, model) {
+		return fmt.Errorf("repeated GET /v1/model: status %d, %d bytes differ from the first read's %d",
+			resp.StatusCode, len(body), len(model))
+	}
+	resp, err = http.Get(base + "/metrics")
+	if err != nil {
+		return err
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	first := mdoc.PSMD
+	if err := json.Unmarshal(body, &mdoc); err != nil {
+		return fmt.Errorf("GET /metrics: %v\n%s", err, body)
+	}
+	if mdoc.PSMD.DeltaSnapshots != first.DeltaSnapshots+1 || mdoc.PSMD.Rebuilds != first.Rebuilds {
+		return fmt.Errorf("repeated model read: %d delta snapshots / %d rebuilds, want %d / %d",
+			mdoc.PSMD.DeltaSnapshots, mdoc.PSMD.Rebuilds, first.DeltaSnapshots+1, first.Rebuilds)
 	}
 
 	// The health surface must report ready with sane windowed quantiles

@@ -56,15 +56,13 @@ func main() {
 	maxCV := flag.Float64("max-cv", psm.DefaultCalibrationPolicy().MaxCV, "calibrate: CV threshold for data-dependent states")
 	minR := flag.Float64("min-r", psm.DefaultCalibrationPolicy().MinR, "calibrate: minimum |Pearson r|")
 	maxRecords := flag.Int("max-records", serve.DefaultConfig().Stream.MaxRecords, "per-session record limit (0 = unlimited)")
-	maxSessions := flag.Int("max-sessions", serve.DefaultConfig().Stream.MaxOpenSessions, "concurrently open upload sessions (0 = unlimited; per shard when -shards > 1)")
-	shards := flag.Int("shards", 1, "ingest shards: > 1 partitions sessions across that many engines by consistent hash (model stays byte-identical)")
-	shardQueue := flag.Int("shard-queue-depth", 0, "per-shard ingest queue depth in batches (0 = shard package default)")
-	shardTimeout := flag.Duration("shard-enqueue-timeout", 0, "how long an append may block on a saturated shard before a 429 load-shed (0 = shard package default)")
-	retryAfter := flag.Duration("retry-after", 0, "Retry-After hint on single-engine admission 429s (0 = 1s)")
+	maxSessions := flag.Int("max-sessions", serve.DefaultConfig().Stream.MaxOpenSessions, "concurrently open upload sessions per shard (0 = unlimited); an upload over the cap gets a 429")
+	shards := flag.Int("shards", 1, "engines sessions are partitioned across by consistent hash on the session id; every upload parses and reduces in its own handler (model stays byte-identical)")
+	retryAfter := flag.Duration("retry-after", 0, "Retry-After hint on the 429 an upload gets when its shard's -max-sessions cap is full (0 = 1s)")
 	maxLine := flag.Int("max-line-bytes", 1<<20, "NDJSON line length limit for uploads")
 	ingestBatch := flag.Int("ingest-batch", 256, "records per ingest batch (amortizes the atom-signature reduction)")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "worker goroutines for snapshot rebuilds (model is identical for any value)")
-	joinMemo := flag.Int("join-memo", 0, "merge-verdict memo entry bound of the live incremental join — the engine's, or the shard coordinator's under -shards (0 = package default)")
+	joinMemo := flag.Int("join-memo", 0, "merge-verdict memo entry bound of the live incremental join (0 = package default)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
 	tracePath := flag.String("trace", "", "write NDJSON span events (ingest, snapshot, join) to this file; prints the span summary at shutdown")
 	logLevel := flag.String("log-level", "info", "minimum log level (debug|info|warn|error)")
@@ -93,8 +91,6 @@ func main() {
 	cfg.Stream.MaxOpenSessions = *maxSessions
 	cfg.Stream.JoinMemoEntries = *joinMemo
 	cfg.Shards = *shards
-	cfg.ShardQueueDepth = *shardQueue
-	cfg.ShardEnqueueTimeout = *shardTimeout
 	cfg.RetryAfter = *retryAfter
 	cfg.MaxLineBytes = *maxLine
 	cfg.IngestBatch = *ingestBatch
@@ -177,11 +173,6 @@ func serveOn(ctx context.Context, ln net.Listener, srv *serve.Server, drain time
 	sctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	if err := hs.Shutdown(sctx); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	// Under sharding, flush the shard queues into the engines and stop
-	// the workers so the final counters cover everything acknowledged.
-	if err := srv.Drain(sctx); err != nil {
 		return fmt.Errorf("drain: %w", err)
 	}
 	m := srv.Metrics()

@@ -291,6 +291,10 @@ type TableIIIRow struct {
 	Speedup    float64 // PXSecs / CoSimSecs: PSM power estimation vs reference
 	TrainSecs  float64 // one-off: training-set generation + PSM build
 	Validation int     // validation instants
+	// TrackerSteps counts the PSM tracker steps of the co-simulation run:
+	// its work on top of the IP-alone run, which drives the same
+	// Validation instants.
+	TrackerSteps int
 }
 
 // TableIIIFor trains on short-TS and cross-validates on long-TS for one
@@ -369,6 +373,7 @@ func TableIIIFor(c IPCase, scale float64, pol Policies) (TableIIIRow, error) {
 		TrainSecs:  trainTime.Seconds(),
 		Validation: n,
 	}
+	row.TrackerSteps = len(estimates)
 	if ipSim > 0 {
 		row.Overhead = (coSim - ipSim).Seconds() / ipSim.Seconds()
 	}

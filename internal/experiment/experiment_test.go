@@ -129,8 +129,12 @@ func TestTableIIIForSmallScale(t *testing.T) {
 	if row.IPSimSecs <= 0 || row.CoSimSecs <= 0 {
 		t.Error("timings missing")
 	}
-	if row.CoSimSecs < row.IPSimSecs {
-		t.Error("co-simulation cannot be faster than the IP alone")
+	// Co-simulation does at least the IP-alone work: the same instants
+	// plus one tracker step each. Compared as work counts — at this scale
+	// the two wall clocks differ by less than scheduler noise.
+	if row.TrackerSteps < row.Validation {
+		t.Errorf("co-simulation stepped the tracker %d times over %d instants: less than the IP-alone work",
+			row.TrackerSteps, row.Validation)
 	}
 	// At this tiny training scale a handful of mispredictions can occur;
 	// the full-scale run (EXPERIMENTS.md) gives exactly 0.

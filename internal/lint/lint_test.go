@@ -230,6 +230,36 @@ func Bad(a, b float64) bool { return a == b }
 	}
 }
 
+// TestRunSkipsNestedModules pins `./...` to the go tool's meaning: a
+// directory with its own go.mod is another module and is not linted,
+// while ordinary subpackages still are.
+func TestRunSkipsNestedModules(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"go.mod": goMod,
+		"a.go":   "package a\n",
+		"sub/s.go": `package sub
+
+func Bad(a, b float64) bool { return a == b }
+`,
+		"nested/go.mod": "module nested\n\ngo 1.22\n",
+		"nested/n.go": `package nested
+
+func Bad(a, b float64) bool { return a == b }
+`,
+		"nested/deeper/d.go": `package deeper
+
+func Bad(a, b float64) bool { return a == b }
+`,
+	})
+	fs, err := Run(root, []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fs) != 1 || filepath.Base(filepath.Dir(fs[0].Pos.Filename)) != "sub" {
+		t.Fatalf("want exactly the sub/ float-eq finding, got %v", fs)
+	}
+}
+
 func TestFindingsSortedByPosition(t *testing.T) {
 	root := writeModule(t, map[string]string{
 		"go.mod": goMod,

@@ -108,7 +108,9 @@ func FindModuleRoot(dir string) (string, error) {
 }
 
 // expand resolves package patterns ("./...", "dir", "dir/...") into
-// package directories, skipping vendor, testdata and hidden trees.
+// package directories, skipping vendor, testdata and hidden trees and,
+// as `go list ./...` does, nested modules (directories holding their own
+// go.mod).
 func (l *loader) expand(patterns []string) ([]string, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -153,6 +155,11 @@ func (l *loader) expand(patterns []string) ([]string, error) {
 			if path != base && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
 				name == "vendor" || name == "testdata") {
 				return filepath.SkipDir
+			}
+			if path != base {
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
 			}
 			add(path)
 			return nil

@@ -12,8 +12,9 @@ import (
 // aliasing its words) is valid only until the owning arena's next Reset.
 //
 // Callers that must keep a value across a Reset copy it out with Clone.
-// The streaming ingest path double-buffers two arenas because the engine
-// retains each batch's last row for one extra batch (input-HD history).
+// The streaming ingest paths (serve.handleTraces, shard.Session.
+// AppendLines) double-buffer two arenas because the engine retains each
+// batch's last row for one extra batch (input-HD history).
 //
 // An Arena is not safe for concurrent use; sessions own one (or two)
 // each.

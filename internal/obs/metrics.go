@@ -5,6 +5,7 @@ import (
 	"expvar"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"sort"
 	"sync"
@@ -182,6 +183,8 @@ type Registry struct {
 	hists     map[string]*Histogram
 	windows   map[string]*WindowedHistogram
 	wcounters map[string]*WindowedCounter
+	cfuncs    map[string]func() int64
+	gfuncs    map[string]func() float64
 }
 
 // NewRegistry returns an empty registry.
@@ -192,6 +195,8 @@ func NewRegistry() *Registry {
 		hists:     map[string]*Histogram{},
 		windows:   map[string]*WindowedHistogram{},
 		wcounters: map[string]*WindowedCounter{},
+		cfuncs:    map[string]func() int64{},
+		gfuncs:    map[string]func() float64{},
 	}
 }
 
@@ -223,6 +228,30 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
+}
+
+// CounterFunc registers a counter whose value is read from f at every
+// Snapshot: a total kept elsewhere, such as a sum over several engines'
+// own counters. f runs outside the registry lock, so it may take locks
+// of its own. Registering a name again replaces f.
+func (r *Registry) CounterFunc(name string, f func() int64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.cfuncs[name] = f
+}
+
+// GaugeFunc registers a gauge whose value is read from f at every
+// Snapshot (see CounterFunc).
+func (r *Registry) GaugeFunc(name string, f func() float64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.gfuncs[name] = f
 }
 
 // Histogram returns the named histogram, creating it with the given
@@ -288,6 +317,7 @@ type Snapshot struct {
 }
 
 // Snapshot returns a point-in-time copy of the registry (empty on nil).
+// Func instruments are read after the registry lock is released.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]int64{},
@@ -298,7 +328,6 @@ func (r *Registry) Snapshot() Snapshot {
 		return s
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
 	}
@@ -313,6 +342,14 @@ func (r *Registry) Snapshot() Snapshot {
 		for name, wh := range r.windows {
 			s.Windows[name] = wh.Snapshot()
 		}
+	}
+	cfuncs, gfuncs := maps.Clone(r.cfuncs), maps.Clone(r.gfuncs)
+	r.mu.Unlock()
+	for name, f := range cfuncs {
+		s.Counters[name] = f()
+	}
+	for name, f := range gfuncs {
+		s.Gauges[name] = f()
 	}
 	return s
 }

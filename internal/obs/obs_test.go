@@ -195,6 +195,30 @@ func TestNilRegistryAndInstruments(t *testing.T) {
 	}
 }
 
+// TestFuncInstruments pins the func counters and gauges: Snapshot (and
+// so both exports) reads them at scrape time, outside the registry lock
+// — a func may consult the registry itself without deadlocking.
+func TestFuncInstruments(t *testing.T) {
+	r := NewRegistry()
+	src := r.Counter("src")
+	r.CounterFunc("sum_total", func() int64 { return 2 * r.Counter("src").Value() })
+	r.GaugeFunc("open", func() float64 { return float64(src.Value()) })
+	src.Add(3)
+	s := r.Snapshot()
+	if s.Counters["sum_total"] != 6 || s.Gauges["open"] != 3 {
+		t.Fatalf("func instruments read %d / %g, want 6 / 3", s.Counters["sum_total"], s.Gauges["open"])
+	}
+	var prom strings.Builder
+	if err := r.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"# TYPE sum_total counter\nsum_total 6\n", "# TYPE open gauge\nopen 3\n"} {
+		if !strings.Contains(prom.String(), want) {
+			t.Fatalf("exposition lacks %q:\n%s", want, prom.String())
+		}
+	}
+}
+
 func TestExponentialBuckets(t *testing.T) {
 	b := ExponentialBuckets(0.001, 4, 12)
 	if len(b) != 12 {

@@ -31,13 +31,28 @@ func TestForEachPropagatesFirstError(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 2, 8} {
 		var ran int32
-		err := ForEach(context.Background(), workers, 1000, func(_ context.Context, i int) error {
+		// A pool that never cancels fails the assertion below instead of
+		// hanging: the held items give up after giveUp closes.
+		giveUp := make(chan struct{})
+		timer := time.AfterFunc(5*time.Second, func() { close(giveUp) })
+		err := ForEach(context.Background(), workers, 1000, func(ctx context.Context, i int) error {
 			atomic.AddInt32(&ran, 1)
 			if i == 3 {
 				return fmt.Errorf("item %d: %w", i, boom)
 			}
+			// Items after the failing one hold their worker until the
+			// failure cancels the pool, so no worker can drain all 1000
+			// items before it lands. (Item 3 is handed out before any of
+			// them, so this cannot deadlock.)
+			if i > 3 {
+				select {
+				case <-ctx.Done():
+				case <-giveUp:
+				}
+			}
 			return nil
 		})
+		timer.Stop()
 		if !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v, want wrapped boom", workers, err)
 		}

@@ -41,10 +41,10 @@ type metricsDoc struct {
 	// SlowSessions is the top-K slowest /v1/traces sessions with their
 	// per-stage wall-time attribution.
 	SlowSessions []sessionTimeline `json:"slow_sessions"`
-	// Shards carries the per-shard rows under sharded ingest (-shards>1):
-	// one entry per shard engine with its own ingest counters, live queue
-	// depth and load-shed count. Absent on the single-engine path.
-	Shards []shard.ShardMetric `json:"shards,omitempty"`
+	// Shards carries one row per shard engine (one at -shards=1): its
+	// own ingest counters, chain-cache rebuilds and the sessions its
+	// open-session cap refused.
+	Shards []shard.ShardMetric `json:"shards"`
 }
 
 func metricsOf(m stream.Metrics, uptime time.Duration) metricsDoc {
@@ -100,14 +100,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		doc := metricsOf(s.Metrics(), time.Since(s.start))
 		doc.SlowSessions = s.slowSessions()
-		doc.Shards = s.ShardMetrics()
+		doc.Shards = s.co.ShardMetrics()
 		//psmlint:ignore err-drop response already committed; a write error here means the client left
 		obs.WriteExpvarJSON(w, map[string]interface{}{
 			"psmd":          doc,
-			"psmd_registry": s.registry().Snapshot(),
+			"psmd_registry": s.co.Registry().Snapshot(),
 		})
 	case "prometheus":
-		reg := s.registry()
+		reg := s.co.Registry()
 		reg.Gauge("psmd_uptime_seconds").Set(time.Since(s.start).Seconds())
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		//psmlint:ignore err-drop response already committed; a write error here means the client left

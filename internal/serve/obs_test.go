@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -169,11 +170,23 @@ func TestProvenanceEmptyAndMethod(t *testing.T) {
 }
 
 // TestMetricsDuringUploads hammers GET /metrics (both formats) while
-// uploads run, pinning the epoch-consistency fix: under -race this is
-// the regression test for the engine counters being read under the same
-// lock as the model cache.
+// uploads run, at one and two shards, pinning the epoch-consistency
+// fix: under -race this is the regression test for the engine counters
+// being read under the same lock as the model cache. Once the uploads
+// settle, the fleet registry — the Prometheus exposition and the
+// psmd_registry JSON section — must carry the ingest totals equal to
+// Metrics at every shard count.
 func TestMetricsDuringUploads(t *testing.T) {
-	srv := newTestServer()
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { metricsDuringUploads(t, shards) })
+	}
+}
+
+func metricsDuringUploads(t *testing.T, shards int) {
+	cfg := DefaultConfig()
+	cfg.Stream.Inputs = []string{"op"}
+	cfg.Shards = shards
+	srv := New(cfg)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -256,5 +269,36 @@ func TestMetricsDuringUploads(t *testing.T) {
 	if doc.PSMD.RecordsIngested != wantRecords || doc.PSMD.TracesCompleted != uploaders*rounds {
 		t.Fatalf("final counters: %d records / %d traces, want %d / %d\n%s",
 			doc.PSMD.RecordsIngested, doc.PSMD.TracesCompleted, wantRecords, uploaders*rounds, body)
+	}
+
+	var reg struct {
+		Registry obs.Snapshot `json:"psmd_registry"`
+	}
+	if err := json.Unmarshal([]byte(body), &reg); err != nil {
+		t.Fatal(err)
+	}
+	prom := readAll(t, mustGet(t, ts.URL+"/metrics?format=prometheus"))
+	m := srv.Metrics()
+	for _, want := range []struct {
+		name  string
+		gauge bool
+		v     int64
+	}{
+		{"psmd_records_ingested_total", false, m.RecordsIngested},
+		{"psmd_traces_completed_total", false, int64(m.TracesCompleted)},
+		{"psmd_sessions_open", true, int64(m.OpenSessions)},
+	} {
+		got, ok := reg.Registry.Counters[want.name]
+		if want.gauge {
+			var g float64
+			g, ok = reg.Registry.Gauges[want.name]
+			got = int64(g)
+		}
+		if !ok || got != want.v {
+			t.Errorf("psmd_registry %s = %d (present %v), want %d", want.name, got, ok, want.v)
+		}
+		if line := fmt.Sprintf("\n%s %d\n", want.name, want.v); !strings.Contains(prom, line) {
+			t.Errorf("prometheus exposition lacks %q", strings.TrimSpace(line))
+		}
 	}
 }

@@ -1,9 +1,10 @@
 // Package serve is the HTTP face of the streaming engine: it exposes
 // trace ingestion, live model export, co-simulation power estimation and
 // operational metrics over a small REST surface, reusing the batch flow's
-// building blocks — the internal/stream engine for ingestion and joins,
-// internal/check as the gate a model must pass before it leaves the
-// process, and internal/powersim for estimation.
+// building blocks — internal/stream engines behind an internal/shard
+// coordinator for ingestion and joins, internal/check as the gate a model
+// must pass before it leaves the process, and internal/powersim for
+// estimation.
 //
 // Endpoints:
 //
@@ -29,7 +30,6 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -46,38 +46,27 @@ import (
 	"psmkit/internal/logic"
 	"psmkit/internal/obs"
 	"psmkit/internal/powersim"
-	"psmkit/internal/psm"
 	"psmkit/internal/shard"
 	"psmkit/internal/stats"
 	"psmkit/internal/stream"
-	"psmkit/internal/trace"
 )
 
 // Config tunes the server.
 type Config struct {
-	// Stream configures the ingestion engine (policies, worker budget,
-	// per-session record bound, open-session cap). Under sharding
-	// (Shards > 1) every shard engine gets this configuration;
-	// MaxOpenSessions then caps each shard, not the fleet.
+	// Stream configures the ingestion engines (policies, worker budget,
+	// per-session record bound, open-session cap). Every shard engine
+	// gets this configuration; MaxOpenSessions caps each shard, not the
+	// fleet.
 	Stream stream.Config
-	// Shards selects the sharded ingest fan-out: > 1 partitions sessions
-	// across that many engines behind a shard.Coordinator (consistent
-	// hash on the session id, one reducer goroutine per shard, bounded
-	// queues with 429 + Retry-After load-shed). The served model stays
-	// byte-identical to the single-engine path; ≤ 1 runs one engine
-	// in-handler, exactly as before.
+	// Shards is the number of engines sessions are partitioned across
+	// behind a shard.Coordinator (consistent hash on the session id, the
+	// optional ?session= query parameter); ≤ 1 runs one. Every upload
+	// parses and reduces in its own handler at any count, and the served
+	// model is byte-identical to one engine fed the sessions in
+	// shard-major order.
 	Shards int
-	// ShardQueueDepth bounds each shard's task queue in batches;
-	// ≤ 0 selects the shard package default (512).
-	ShardQueueDepth int
-	// ShardEnqueueTimeout is how long an append may block on a saturated
-	// shard before the upload is shed with 429 + Retry-After; ≤ 0
-	// selects the shard package default (2 s).
-	ShardEnqueueTimeout time.Duration
-	// RetryAfter is the back-off hint attached to admission-control 429s
-	// of the single-engine path (open-session cap); ≤ 0 selects 1 s.
-	// Sharded load-shed responses use the shard's enqueue timeout
-	// instead — that is how long the queue actually stayed full.
+	// RetryAfter is the back-off hint on the 429 an upload gets when its
+	// shard's open-session cap refuses it; ≤ 0 selects 1 s.
 	RetryAfter time.Duration
 	// MaxLineBytes bounds one NDJSON line of an upload; ≤ 0 selects 1 MiB.
 	MaxLineBytes int
@@ -130,12 +119,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// Server routes the endpoints to a streaming engine — or, when
-// cfg.Shards > 1, to a shard.Coordinator running several of them as one
-// logical model. Exactly one of eng and co is set.
+// Server routes the endpoints to a shard.Coordinator running
+// cfg.Shards streaming engines (one by default) as one logical model.
 type Server struct {
 	cfg    Config
-	eng    *stream.Engine
 	co     *shard.Coordinator
 	start  time.Time
 	tracer *obs.Tracer
@@ -155,22 +142,17 @@ type Server struct {
 	slow        []sessionTimeline
 }
 
-// New builds a server around a fresh engine. Runtime diagnostics are
+// New builds a server around a fresh coordinator. Runtime diagnostics are
 // always on: every request runs under a tracer (the configured one, or
 // an internal summary-only tracer), every ended span lands in the
 // flight recorder, and the /v1/ middleware keeps the windowed SLO
 // instruments current.
 func New(cfg Config) *Server {
-	s := &Server{cfg: cfg, start: time.Now(), log: cfg.Log}
-	if cfg.Shards > 1 {
-		s.co = shard.New(shard.Config{
-			Shards:         cfg.Shards,
-			Stream:         cfg.Stream,
-			QueueDepth:     cfg.ShardQueueDepth,
-			EnqueueTimeout: cfg.ShardEnqueueTimeout,
-		})
-	} else {
-		s.eng = stream.NewEngine(cfg.Stream)
+	s := &Server{
+		cfg:   cfg,
+		co:    shard.New(shard.Config{Shards: cfg.Shards, Stream: cfg.Stream}),
+		start: time.Now(),
+		log:   cfg.Log,
 	}
 	s.flight = cfg.Flight
 	if s.flight == nil {
@@ -180,7 +162,7 @@ func New(cfg Config) *Server {
 	if s.tracer == nil {
 		s.tracer = obs.NewTracer(nil)
 	}
-	reg := s.registry()
+	reg := s.co.Registry()
 	s.tracer.SetFlight(s.flight)
 	s.tracer.SetSpanWindow(reg.Window("psmd_span_ms_window", stream.LatencyBuckets, obs.DefaultWindowInterval, obs.DefaultWindowSlots))
 	s.mReqs = reg.Counter("psmd_requests_total")
@@ -195,81 +177,9 @@ func New(cfg Config) *Server {
 // crash-path dumps).
 func (s *Server) Flight() *obs.Flight { return s.flight }
 
-// Engine exposes the underlying engine (tests, cmd wiring). It is nil
-// under sharding — use Coordinator there, or Metrics for the counters.
-func (s *Server) Engine() *stream.Engine { return s.eng }
-
-// Coordinator exposes the shard coordinator (nil when Shards ≤ 1).
-func (s *Server) Coordinator() *shard.Coordinator { return s.co }
-
-// The two backends expose the same model/metrics surface; these
-// accessors pick the live one so every handler is backend-agnostic.
-
-func (s *Server) registry() *obs.Registry {
-	if s.co != nil {
-		return s.co.Registry()
-	}
-	return s.eng.Registry()
-}
-
-func (s *Server) snapshot(ctx context.Context) (*psm.Model, error) {
-	if s.co != nil {
-		return s.co.Snapshot(ctx)
-	}
-	return s.eng.Snapshot(ctx)
-}
-
-func (s *Server) provenance(ctx context.Context) ([]obs.MergeDecision, error) {
-	if s.co != nil {
-		return s.co.Provenance(ctx)
-	}
-	return s.eng.Provenance(ctx)
-}
-
-func (s *Server) inputCols() []int {
-	if s.co != nil {
-		return s.co.InputCols()
-	}
-	return s.eng.InputCols()
-}
-
-func (s *Server) joinWindow() obs.HistogramSnapshot {
-	if s.co != nil {
-		return s.co.JoinLatencyWindow()
-	}
-	return s.eng.JoinLatencyWindow()
-}
-
-// Metrics returns the backend's aggregated counters (the fleet sum
-// under sharding; see shard.Coordinator.Metrics).
-func (s *Server) Metrics() stream.Metrics {
-	if s.co != nil {
-		return s.co.Metrics()
-	}
-	return s.eng.Metrics()
-}
-
-// ShardMetrics returns the per-shard rows (nil when not sharded).
-func (s *Server) ShardMetrics() []shard.ShardMetric {
-	if s.co == nil {
-		return nil
-	}
-	return s.co.ShardMetrics()
-}
-
-// Drain is the graceful-shutdown barrier, called after the HTTP server
-// has stopped accepting requests: under sharding it flushes every shard
-// queue into the engines — so the final metrics and any final snapshot
-// cover everything acknowledged — and stops the shard workers. The
-// single-engine path has nothing queued and nothing to stop.
-func (s *Server) Drain(ctx context.Context) error {
-	if s.co == nil {
-		return nil
-	}
-	err := s.co.Flush(ctx)
-	s.co.Close()
-	return err
-}
+// Metrics returns the fleet's aggregated counters (see
+// shard.Coordinator.Metrics).
+func (s *Server) Metrics() stream.Metrics { return s.co.Metrics() }
 
 // Handler returns the route table. Every request context carries the
 // server's tracer, so the engine's spans (ingest, snapshot, simplify,
@@ -349,29 +259,21 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return w.ResponseWriter.Write(p)
 }
 
-// ingestResult is the response of a completed upload. Trace is the
-// backend-local completion index (shard-local under sharding, where
-// Shard identifies the engine that owns the session).
+// ingestResult is the response of a completed upload: the shard that
+// owns the session and the session's shard-local completion index.
 type ingestResult struct {
-	Trace   int  `json:"trace"`
-	Records int  `json:"records"`
-	Shard   *int `json:"shard,omitempty"`
+	Trace   int `json:"trace"`
+	Records int `json:"records"`
+	Shard   int `json:"shard"`
 }
 
-// ingestError maps an ingest-path failure onto its HTTP status.
-// Admission-control and load-shed rejections are 429s carrying a
-// Retry-After hint: the shard's enqueue timeout when a queue shed the
-// upload (that is how long it actually stayed full), the configured
-// single-engine hint when the open-session cap rejected it. Everything
-// else is the client's malformed stream — 400.
+// ingestError maps an ingest-path failure onto its HTTP status. A
+// shard's open-session cap refusing the upload is the one load-shed: a
+// 429 carrying the configured Retry-After hint. Everything else is the
+// client's malformed stream — 400.
 func (s *Server) ingestError(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
-	var sat *shard.SaturatedError
-	switch {
-	case errors.As(err, &sat):
-		code = http.StatusTooManyRequests
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(sat.RetryAfter)))
-	case errors.Is(err, stream.ErrSessionLimit):
+	if errors.Is(err, stream.ErrSessionLimit) {
 		code = http.StatusTooManyRequests
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
 	}
@@ -388,17 +290,19 @@ func retryAfterSeconds(d time.Duration) int {
 	return secs
 }
 
-// handleTraces ingests one NDJSON trace stream as a session. The request
-// context cancels with the connection, so a client disconnect surfaces as
-// a body read error and the session aborts — nothing partial reaches the
-// model.
+// handleTraces ingests one NDJSON trace stream as a session. The
+// optional ?session= query parameter names the session for routing —
+// uploads sharing an id land on the same shard; absent, the coordinator
+// assigns one. The request context cancels with the connection, so a
+// client disconnect surfaces as a body read error and the session
+// aborts — nothing partial reaches the model.
 //
-// This is the hot ingest path: records are line-scanned zero-copy
-// (stream.Scanner), their valuations parsed into two alternating
-// logic.Arenas — the engine keeps each batch's last row as input-HD
-// history for one more batch, so the arena a batch used is recycled only
-// after the NEXT batch lands — and appended IngestBatch records at a
-// time (Session.AppendBatch).
+// This is the hot ingest path, run in the handler at every shard count:
+// records are line-scanned zero-copy (stream.Scanner), their valuations
+// parsed into two alternating logic.Arenas — the engine keeps each
+// batch's last row as input-HD history for one more batch, so the arena
+// a batch used is recycled only after the NEXT batch lands — and
+// appended IngestBatch records at a time (shard.Session.AppendRows).
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -418,11 +322,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if s.co != nil {
-		s.handleTracesSharded(w, r, begin, span, sc, sigs)
-		return
-	}
-	sess, err := s.eng.Open(sigs)
+	sess, err := s.co.Open(r.Context(), r.URL.Query().Get("session"), sigs)
 	if err != nil {
 		s.log.Warn("session rejected", obs.KV("err", err.Error()))
 		s.ingestError(w, err)
@@ -465,7 +365,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 			return nil
 		}
 		t0 := time.Now()
-		err := sess.AppendBatch(rows, powers)
+		err := sess.AppendRows(rows, powers)
 		tl.ReduceNS += time.Since(t0).Nanoseconds()
 		tl.Records += len(rows)
 		rows, powers = rows[:0], powers[:0]
@@ -522,9 +422,8 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	n := sess.Rows()
 	t0 := time.Now()
-	idx, err := sess.Close()
+	idx, n, err := sess.Close(r.Context())
 	tl.JoinNS += time.Since(t0).Nanoseconds()
 	if err != nil {
 		s.log.Warn("session close failed", obs.KV("err", err.Error()))
@@ -534,110 +433,8 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	tl.Trace = idx
 	span.SetAttr("trace", idx)
 	span.SetAttr("records", n)
-	writeJSON(w, http.StatusOK, ingestResult{Trace: idx, Records: n})
-}
-
-// handleTracesSharded is the sharded twin of the ingest loop: the
-// handler only frames raw NDJSON lines into batches and hands them to
-// the session's shard (shard.Session.AppendLines transfers buffer
-// ownership); the shard's reducer goroutine does the parse and the
-// atom-signature reduction off the request path. The optional
-// ?session= query parameter names the session for routing — uploads
-// sharing an id land on the same shard; absent, the coordinator
-// assigns one.
-func (s *Server) handleTracesSharded(w http.ResponseWriter, r *http.Request, begin time.Time, span *obs.Span, sc *stream.Scanner, sigs []trace.Signal) {
-	sess, err := s.co.Open(r.Context(), r.URL.Query().Get("session"), sigs)
-	if err != nil {
-		s.log.Warn("session rejected", obs.KV("err", err.Error()))
-		s.ingestError(w, err)
-		return
-	}
-
-	// Same timeline discipline as the single-engine path, but parse and
-	// reduce run on the shard worker: the handler's wall time splits into
-	// scan (framing) and join (the Close round-trip, which rides behind
-	// everything queued for the shard).
-	tl := &sessionTimeline{Session: s.nextSession.Add(1), Trace: -1}
-	sw := &statusWriter{ResponseWriter: w, commit: func(int) {
-		tl.TotalNS = time.Since(begin).Nanoseconds()
-		s.recordTimeline(tl)
-	}}
-	w = sw
-	defer func() {
-		if sw.code == 0 {
-			sw.commit(0)
-		}
-	}()
-
-	batch := s.cfg.IngestBatch
-	if batch <= 0 {
-		batch = 256
-	}
-	var (
-		buf       []byte
-		records   int
-		firstLine int
-	)
-	flush := func() error {
-		if records == 0 {
-			return nil
-		}
-		err := sess.AppendLines(buf, records, firstLine)
-		tl.Records += records
-		// Ownership of buf moved to the shard; the next batch allocates.
-		buf, records = nil, 0
-		return err
-	}
-	for {
-		if err := r.Context().Err(); err != nil {
-			sess.Abort()
-			return // connection is gone; no response reaches the client
-		}
-		t0 := time.Now()
-		line, err := sc.Line()
-		tl.ScanNS += time.Since(t0).Nanoseconds()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			sess.Abort()
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if records == 0 {
-			firstLine = sc.Lines()
-			buf = make([]byte, 0, batch*(len(line)+16))
-		}
-		buf = append(buf, line...)
-		buf = append(buf, '\n')
-		records++
-		if records == batch {
-			if err := flush(); err != nil {
-				sess.Abort()
-				s.ingestError(w, err)
-				return
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		sess.Abort()
-		s.ingestError(w, err)
-		return
-	}
-	t0 := time.Now()
-	local, n, err := sess.Close(r.Context())
-	tl.JoinNS += time.Since(t0).Nanoseconds()
-	if err != nil {
-		s.log.Warn("session close failed", obs.KV("err", err.Error()))
-		s.ingestError(w, err)
-		return
-	}
-	tl.Trace = local
-	shardIdx := sess.Shard()
-	span.SetAttr("trace", local)
-	span.SetAttr("records", n)
-	span.SetAttr("shard", shardIdx)
-	writeJSON(w, http.StatusOK, ingestResult{Trace: local, Records: n, Shard: &shardIdx})
+	span.SetAttr("shard", sess.Shard())
+	writeJSON(w, http.StatusOK, ingestResult{Trace: idx, Records: n, Shard: sess.Shard()})
 }
 
 // snapshotError answers a failed snapshot or provenance replay: nothing
@@ -663,7 +460,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	m, err := s.snapshot(r.Context())
+	m, err := s.co.Snapshot(r.Context())
 	if err != nil {
 		snapshotError(w, r, err)
 		return
@@ -701,7 +498,7 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	ds, err := s.provenance(r.Context())
+	ds, err := s.co.Provenance(r.Context())
 	if err != nil {
 		snapshotError(w, r, err)
 		return
@@ -733,7 +530,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	m, err := s.snapshot(r.Context())
+	m, err := s.co.Snapshot(r.Context())
 	if err != nil {
 		snapshotError(w, r, err)
 		return
@@ -750,7 +547,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	sim := powersim.New(m, s.inputCols(), s.cfg.Sim)
+	sim := powersim.New(m, s.co.InputCols(), s.cfg.Sim)
 	var (
 		raw       stream.RawRecord
 		row       []logic.Vector

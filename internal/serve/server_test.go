@@ -286,14 +286,15 @@ func TestEndToEnd(t *testing.T) {
 	}
 }
 
-// TestIngestErrors exercises the upload failure paths: every one must
-// abort its session and leave the engine clean.
-func TestIngestErrors(t *testing.T) {
-	srv := newTestServer()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	cases := []struct {
+// ingestErrorCases are the upload failure paths: each must be refused
+// with its status, whatever the shard count.
+var ingestErrorCases = func() []struct {
+	name string
+	body string
+	code int
+} {
+	const header = `{"signals":[{"name":"en","width":1},{"name":"op","width":2}],"inputs":["op"]}` + "\n"
+	return []struct {
 		name string
 		body string
 		code int
@@ -301,21 +302,38 @@ func TestIngestErrors(t *testing.T) {
 		{"empty", "", http.StatusBadRequest},
 		{"bad header", "{not json\n", http.StatusBadRequest},
 		{"no signals", `{"signals":[]}` + "\n", http.StatusBadRequest},
-		{"missing power", `{"signals":[{"name":"en","width":1},{"name":"op","width":2}],"inputs":["op"]}` + "\n" +
-			`{"v":["1","2"]}` + "\n", http.StatusBadRequest},
-		{"bad hex", `{"signals":[{"name":"en","width":1},{"name":"op","width":2}],"inputs":["op"]}` + "\n" +
-			`{"v":["1","zz"],"p":1.0}` + "\n", http.StatusBadRequest},
-		{"arity", `{"signals":[{"name":"en","width":1},{"name":"op","width":2}],"inputs":["op"]}` + "\n" +
-			`{"v":["1"],"p":1.0}` + "\n", http.StatusBadRequest},
-		{"empty trace", `{"signals":[{"name":"en","width":1},{"name":"op","width":2}],"inputs":["op"]}` + "\n",
-			http.StatusBadRequest},
+		{"missing power", header + `{"v":["1","2"]}` + "\n", http.StatusBadRequest},
+		{"missing power later", header + `{"v":["1","2"],"p":1.0}` + "\n" + `{"v":["0","1"],"p":2.0}` + "\n" +
+			`{"v":["1","3"]}` + "\n", http.StatusBadRequest},
+		{"bad hex", header + `{"v":["1","zz"],"p":1.0}` + "\n", http.StatusBadRequest},
+		{"bad hex later", header + `{"v":["1","2"],"p":1.0}` + "\n" + `{"v":["1","zz"],"p":1.0}` + "\n", http.StatusBadRequest},
+		{"bad json later", header + `{"v":["1","2"],"p":1.0}` + "\n" + `{"v":["1","2"],"p":1.0}` + "\n" +
+			`{"v":["1",` + "\n", http.StatusBadRequest},
+		{"arity", header + `{"v":["1"],"p":1.0}` + "\n", http.StatusBadRequest},
+		{"empty trace", header, http.StatusBadRequest},
 	}
-	for _, tc := range cases {
+}()
+
+// postIngestErrors replays ingestErrorCases against a server with the
+// given shard count, checks each status, the method guards and that
+// nothing leaked, and returns the response bodies in case order.
+func postIngestErrors(t *testing.T, shards int) []string {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Stream.Inputs = []string{"op"}
+	cfg.Shards = shards
+	srv := New(cfg)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	var bodies []string
+	for _, tc := range ingestErrorCases {
 		resp := mustPost(t, ts.URL+"/v1/traces", strings.NewReader(tc.body))
 		body := readAll(t, resp)
 		if resp.StatusCode != tc.code {
-			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.code, body)
+			t.Errorf("shards %d: %s: status %d, want %d (%s)", shards, tc.name, resp.StatusCode, tc.code, body)
 		}
+		bodies = append(bodies, body)
 	}
 
 	// Method checks.
@@ -324,20 +342,27 @@ func TestIngestErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if readAll(t, resp); resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/traces: status %d, want 405", resp.StatusCode)
+		t.Fatalf("shards %d: GET /v1/traces: status %d, want 405", shards, resp.StatusCode)
 	}
 	resp = mustPost(t, ts.URL+"/v1/model", strings.NewReader(""))
 	if readAll(t, resp); resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /v1/model: status %d, want 405", resp.StatusCode)
+		t.Fatalf("shards %d: POST /v1/model: status %d, want 405", shards, resp.StatusCode)
 	}
 
-	if m := srv.Engine().Metrics(); m.OpenSessions != 0 || m.TracesCompleted != 0 {
-		t.Fatalf("failed uploads leaked state: %+v", m)
+	if m := srv.Metrics(); m.OpenSessions != 0 || m.TracesCompleted != 0 || m.RecordsIngested != 0 {
+		t.Fatalf("shards %d: failed uploads leaked state: %+v", shards, m)
 	}
+	return bodies
+}
+
+// TestIngestErrors exercises the upload failure paths on one shard:
+// every one must abort its session and leave the engine clean.
+func TestIngestErrors(t *testing.T) {
+	postIngestErrors(t, 1)
 }
 
 // TestCancelledSnapshotIsNotAServerError pins the snapshot error
-// mapping on both backends: a request whose client already left gets no
+// mapping at one and two shards: a request whose client already left gets no
 // response, and psmd_errors_total (the /v1/status error burn) does not
 // count it as a server failure — on /v1/estimate and /v1/model alike.
 func TestCancelledSnapshotIsNotAServerError(t *testing.T) {
@@ -365,15 +390,12 @@ func TestCancelledSnapshotIsNotAServerError(t *testing.T) {
 				t.Fatalf("shards %d: %s under a cancelled request answered: %s", shards, req.URL.Path, rec.Body)
 			}
 		}
-		reg := srv.registry().Snapshot()
+		reg := srv.co.Registry().Snapshot()
 		if errs := reg.Counters["psmd_errors_total"]; errs != 0 {
 			t.Fatalf("shards %d: cancelled snapshots counted as %d server errors", shards, errs)
 		}
 		if reqs := reg.Counters["psmd_requests_total"]; reqs != 3 {
 			t.Fatalf("shards %d: %d requests counted, want 3", shards, reqs)
-		}
-		if err := srv.Drain(context.Background()); err != nil {
-			t.Fatal(err)
 		}
 	}
 }
@@ -414,7 +436,7 @@ func TestDisconnectAbortsSession(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		m := srv.Engine().Metrics()
+		m := srv.Metrics()
 		if m.OpenSessions == 0 {
 			if m.TracesCompleted != 1 {
 				t.Fatalf("aborted upload completed a trace: %+v", m)
@@ -476,7 +498,7 @@ func TestGracefulShutdown(t *testing.T) {
 	if _, err := pw.Write(full[:half]); err != nil {
 		t.Fatal(err)
 	}
-	for srv.Engine().Metrics().OpenSessions == 0 { // wait for the server to see it
+	for srv.Metrics().OpenSessions == 0 { // wait for the server to see it
 		time.Sleep(5 * time.Millisecond)
 	}
 
@@ -502,7 +524,7 @@ func TestGracefulShutdown(t *testing.T) {
 	if err := <-shutdownDone; err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	m := srv.Engine().Metrics()
+	m := srv.Metrics()
 	if m.TracesCompleted != 1 || m.OpenSessions != 0 {
 		t.Fatalf("drain did not complete the session: %+v", m)
 	}

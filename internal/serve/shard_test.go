@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"psmkit/internal/shard"
+	"psmkit/internal/stream"
 )
 
 func newShardedTestServer(shards int) *Server {
@@ -28,73 +31,92 @@ type shardedIngestResult struct {
 	Shard   *int `json:"shard"`
 }
 
-// TestAdmission429RetryAfter pins the single-engine admission contract:
-// when the open-session cap rejects an upload, the 429 carries the
-// configured Retry-After hint so a well-behaved client backs off
-// instead of hammering the cap.
+// TestAdmission429RetryAfter pins the admission contract at one and
+// two shards: when a shard's open-session cap rejects an upload, the
+// 429 carries the configured Retry-After hint so a well-behaved client
+// backs off instead of hammering the cap, and the refusal is counted as
+// a shed in that shard's metrics row.
 func TestAdmission429RetryAfter(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Stream.Inputs = []string{"op"}
-	cfg.Stream.MaxOpenSessions = 1
-	cfg.RetryAfter = 3 * time.Second
-	srv := New(cfg)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	for _, shards := range []int{1, 2} {
+		cfg := DefaultConfig()
+		cfg.Stream.Inputs = []string{"op"}
+		cfg.Stream.MaxOpenSessions = 1
+		cfg.Shards = shards
+		cfg.RetryAfter = 3 * time.Second
+		srv := New(cfg)
+		ts := httptest.NewServer(srv.Handler())
 
-	// Hold one session open: stream the header and wait for the server
-	// to register it.
-	pr, pw := io.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		resp, err := http.Post(ts.URL+"/v1/traces", "application/x-ndjson", pr)
-		if err == nil {
-			readAll(t, resp)
+		// Two session ids on the same shard, so the second meets the
+		// first's cap.
+		var ids []string
+		for k := 0; len(ids) < 2; k++ {
+			if id := fmt.Sprintf("cap-%d", k); srv.co.ShardOf(id) == shards-1 {
+				ids = append(ids, id)
+			}
 		}
-	}()
-	full := genNDJSON(t, 11, 50, true).Bytes()
-	if _, err := pw.Write(full); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Engine().Metrics().OpenSessions == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("server never opened the held session")
+
+		// Hold one session open: stream the header and wait for the
+		// server to register it.
+		pr, pw := io.Pipe()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			resp, err := http.Post(ts.URL+"/v1/traces?session="+ids[0], "application/x-ndjson", pr)
+			if err == nil {
+				readAll(t, resp)
+			}
+		}()
+		full := genNDJSON(t, 11, 50, true).Bytes()
+		if _, err := pw.Write(full); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		deadline := time.Now().Add(5 * time.Second)
+		for srv.Metrics().OpenSessions == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("shards %d: server never opened the held session", shards)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 
-	// A second upload must be shed with 429 + Retry-After.
-	resp := mustPost(t, ts.URL+"/v1/traces", genNDJSON(t, 12, 10, true))
-	body := readAll(t, resp)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-cap upload: status %d, want 429 (%s)", resp.StatusCode, body)
-	}
-	if got := resp.Header.Get("Retry-After"); got != "3" {
-		t.Fatalf("Retry-After = %q, want \"3\"", got)
-	}
-	if !strings.Contains(body, "sessions already open") {
-		t.Fatalf("unexpected rejection body: %s", body)
-	}
+		// A second upload must be shed with 429 + Retry-After.
+		resp := mustPost(t, ts.URL+"/v1/traces?session="+ids[1], genNDJSON(t, 12, 10, true))
+		body := readAll(t, resp)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("shards %d: over-cap upload: status %d, want 429 (%s)", shards, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get("Retry-After"); got != "3" {
+			t.Fatalf("shards %d: Retry-After = %q, want \"3\"", shards, got)
+		}
+		if !strings.Contains(body, "sessions already open") {
+			t.Fatalf("shards %d: unexpected rejection body: %s", shards, body)
+		}
+		rows := srv.co.ShardMetrics()
+		if srv.co.Shed() != 1 || rows[shards-1].Shed != 1 {
+			t.Fatalf("shards %d: refusal counted %d fleet-wide, %d on shard %d; want 1 and 1",
+				shards, srv.co.Shed(), rows[shards-1].Shed, shards-1)
+		}
 
-	pw.Close()
-	<-done
+		pw.Close()
+		<-done
+		ts.Close()
+	}
 }
 
 // TestIngestErrorMapping pins the error→status mapping of the ingest
-// path without needing to reproduce real saturation: a shard load-shed
-// maps to 429 with the shed's own enqueue timeout as the Retry-After
-// (rounded up to whole seconds), everything else to 400.
+// path: an open-session-cap refusal maps to 429 with the configured
+// Retry-After (rounded up to whole seconds), everything else to 400.
 func TestIngestErrorMapping(t *testing.T) {
-	srv := newTestServer()
+	cfg := DefaultConfig()
+	cfg.RetryAfter = 1500 * time.Millisecond
+	srv := New(cfg)
 
 	rec := httptest.NewRecorder()
-	srv.ingestError(rec, &shard.SaturatedError{Shard: 2, RetryAfter: 1500 * time.Millisecond})
+	srv.ingestError(rec, fmt.Errorf("stream: 1 %w (limit 1)", stream.ErrSessionLimit))
 	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("saturated: status %d, want 429", rec.Code)
+		t.Fatalf("session cap: status %d, want 429", rec.Code)
 	}
 	if got := rec.Header().Get("Retry-After"); got != "2" {
-		t.Fatalf("saturated Retry-After = %q, want \"2\" (1.5s rounds up)", got)
+		t.Fatalf("session cap Retry-After = %q, want \"2\" (1.5s rounds up)", got)
 	}
 
 	rec = httptest.NewRecorder()
@@ -109,9 +131,9 @@ func TestIngestErrorMapping(t *testing.T) {
 
 // TestShardedServeParity drives the sharded server over HTTP and pins
 // the tentpole guarantee end to end: the model a 4-shard daemon serves
-// is byte-identical (JSON and DOT) to a single-engine daemon fed the
-// same traces in the canonical shard-major order, and the metrics and
-// status surfaces carry consistent per-shard rows.
+// is byte-identical (JSON and DOT) to one stream.Engine fed the same
+// rows in the canonical shard-major order, and the metrics and status
+// surfaces carry consistent per-shard rows.
 func TestShardedServeParity(t *testing.T) {
 	const nShards, nTraces = 4, 8
 	lens := []int{60, 90, 40, 120, 75, 55, 100, 80}
@@ -152,30 +174,46 @@ func TestShardedServeParity(t *testing.T) {
 	shardedModel := readAll(t, mustGet(t, ts.URL+"/v1/model"))
 	shardedDOT := readAll(t, mustGet(t, ts.URL+"/v1/model?format=dot"))
 
-	// Reference: a single-engine server fed the same traces sequentially
-	// in canonical order — shards in index order, each shard's sessions
-	// in completion (here: upload) order.
+	// Reference: one stream.Engine, outside the coordinator, fed the same
+	// rows directly in canonical order — shards in index order, each
+	// shard's sessions in completion (here: upload) order.
 	sort.SliceStable(ups, func(i, j int) bool {
 		if ups[i].shard != ups[j].shard {
 			return ups[i].shard < ups[j].shard
 		}
 		return ups[i].local < ups[j].local
 	})
-	single := newTestServer()
-	ss := httptest.NewServer(single.Handler())
-	defer ss.Close()
+	ecfg := DefaultConfig().Stream
+	ecfg.Inputs = []string{"op"}
+	eng := stream.NewEngine(ecfg)
 	for _, u := range ups {
-		resp := mustPost(t, ss.URL+"/v1/traces", genNDJSON(t, u.seed, u.n, true))
-		if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
-			t.Fatalf("reference upload: status %d: %s", resp.StatusCode, body)
+		rows, pows := genRows(u.seed, u.n)
+		sess, err := eng.Open(testSigs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.AppendBatch(rows, pows); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	singleModel := readAll(t, mustGet(t, ss.URL+"/v1/model"))
-	singleDOT := readAll(t, mustGet(t, ss.URL+"/v1/model?format=dot"))
-	if shardedModel != singleModel {
+	ref, err := eng.Snapshot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var singleModel, singleDOT bytes.Buffer
+	if err := ref.WriteJSON(&singleModel); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.WriteDOT(&singleDOT, "psm"); err != nil {
+		t.Fatal(err)
+	}
+	if shardedModel != singleModel.String() {
 		t.Fatal("sharded JSON model differs from the canonical single-engine model")
 	}
-	if shardedDOT != singleDOT {
+	if shardedDOT != singleDOT.String() {
 		t.Fatal("sharded DOT model differs from the canonical single-engine model")
 	}
 
@@ -203,9 +241,6 @@ func TestShardedServeParity(t *testing.T) {
 		if row.Shard != i {
 			t.Fatalf("shard row %d labeled %d", i, row.Shard)
 		}
-		if row.QueueCap <= 0 {
-			t.Fatalf("shard row %d reports queue cap %d", i, row.QueueCap)
-		}
 		sumRec += row.RecordsIngested
 		sumTraces += row.TracesCompleted
 	}
@@ -214,10 +249,10 @@ func TestShardedServeParity(t *testing.T) {
 			sumRec, sumTraces, records, nTraces)
 	}
 
-	// Prometheus exposition carries the per-shard gauges.
+	// Prometheus exposition carries the per-shard shed counters.
 	prom := readAll(t, mustGet(t, ts.URL+"/metrics?format=prometheus"))
-	if !strings.Contains(prom, "psmd_shard0_queue_depth") {
-		t.Fatal("prometheus exposition lacks per-shard queue gauges")
+	if !strings.Contains(prom, "psmd_shard0_shed_total") {
+		t.Fatal("prometheus exposition lacks per-shard shed counters")
 	}
 
 	// /v1/status carries the same per-shard rows.
@@ -237,54 +272,19 @@ func TestShardedServeParity(t *testing.T) {
 	if len(sdoc.Shards) != nShards {
 		t.Fatalf("status carries %d shard rows, want %d", len(sdoc.Shards), nShards)
 	}
-
-	// Graceful drain: flush and stop the shard workers; the final
-	// metrics still cover everything acknowledged.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := sharded.Drain(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if m := sharded.Metrics(); m.RecordsIngested != int64(records) || m.TracesCompleted != nTraces {
-		t.Fatalf("post-drain metrics: %+v", m)
-	}
 }
 
-// TestShardedIngestErrors replays the single-engine failure cases
-// against a sharded server: the deferred worker-side errors must come
-// back with the same status codes, and nothing may leak.
+// TestShardedIngestErrors replays the one-shard failure cases against a
+// two-shard server: each must come back with the same status and the
+// same body text, record and line numbers included — there is one
+// ingest loop, whatever the shard count — and nothing may leak.
 func TestShardedIngestErrors(t *testing.T) {
-	srv := newShardedTestServer(2)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	cases := []struct {
-		name string
-		body string
-		code int
-	}{
-		{"empty", "", http.StatusBadRequest},
-		{"bad header", "{not json\n", http.StatusBadRequest},
-		{"no signals", `{"signals":[]}` + "\n", http.StatusBadRequest},
-		{"missing power", `{"signals":[{"name":"en","width":1},{"name":"op","width":2}],"inputs":["op"]}` + "\n" +
-			`{"v":["1","2"]}` + "\n", http.StatusBadRequest},
-		{"bad hex", `{"signals":[{"name":"en","width":1},{"name":"op","width":2}],"inputs":["op"]}` + "\n" +
-			`{"v":["1","zz"],"p":1.0}` + "\n", http.StatusBadRequest},
-		{"arity", `{"signals":[{"name":"en","width":1},{"name":"op","width":2}],"inputs":["op"]}` + "\n" +
-			`{"v":["1"],"p":1.0}` + "\n", http.StatusBadRequest},
-		{"empty trace", `{"signals":[{"name":"en","width":1},{"name":"op","width":2}],"inputs":["op"]}` + "\n",
-			http.StatusBadRequest},
-	}
-	for _, tc := range cases {
-		resp := mustPost(t, ts.URL+"/v1/traces", strings.NewReader(tc.body))
-		body := readAll(t, resp)
-		if resp.StatusCode != tc.code {
-			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.code, body)
+	one := postIngestErrors(t, 1)
+	two := postIngestErrors(t, 2)
+	for i, tc := range ingestErrorCases {
+		if one[i] != two[i] {
+			t.Errorf("%s: body differs between shard counts:\n1: %q\n2: %q", tc.name, one[i], two[i])
 		}
-	}
-
-	if m := srv.Metrics(); m.OpenSessions != 0 || m.TracesCompleted != 0 {
-		t.Fatalf("failed uploads leaked state: %+v", m)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"psmkit/internal/logic"
 	"psmkit/internal/mining"
@@ -18,36 +17,14 @@ import (
 
 // Config tunes the coordinator.
 type Config struct {
-	// Shards is the engine count; ≤ 0 selects 1 (a sharded deployment
-	// of one shard behaves exactly like a single engine, queue and all).
+	// Shards is the engine count; ≤ 0 selects 1.
 	Shards int
 	// Stream configures every shard engine identically. Stream.Registry
 	// is ignored: each shard gets a private registry (per-engine gauges
-	// must not collide), and the coordinator's own registry carries the
-	// fleet-level instruments. Stream.MaxOpenSessions is a PER-SHARD
-	// cap; the effective fleet cap is Shards times it.
+	// must not collide), and the coordinator's own registry (Registry)
+	// carries the fleet-level instruments. Stream.MaxOpenSessions is a
+	// PER-SHARD cap; the effective fleet cap is Shards times it.
 	Stream stream.Config
-	// QueueDepth bounds each shard's task queue in batches (not
-	// records); ≤ 0 selects 512. A full queue is the backpressure
-	// signal: appends block up to EnqueueTimeout, then shed.
-	QueueDepth int
-	// EnqueueTimeout is how long an append may block on a saturated
-	// shard before giving up with a SaturatedError (the 429 +
-	// Retry-After path); ≤ 0 selects 2 s.
-	EnqueueTimeout time.Duration
-	// Registry receives the coordinator's instruments; nil builds a
-	// private one (Registry() exposes it either way).
-	Registry *obs.Registry
-}
-
-// DefaultConfig returns serving-grade defaults for a 4-shard fleet.
-func DefaultConfig() Config {
-	return Config{
-		Shards:         4,
-		Stream:         stream.DefaultConfig(),
-		QueueDepth:     512,
-		EnqueueTimeout: 2 * time.Second,
-	}
 }
 
 func (c Config) shards() int {
@@ -57,54 +34,33 @@ func (c Config) shards() int {
 	return 1
 }
 
-func (c Config) queueDepth() int {
-	if c.QueueDepth > 0 {
-		return c.QueueDepth
-	}
-	return 512
-}
-
-func (c Config) enqueueTimeout() time.Duration {
-	if c.EnqueueTimeout > 0 {
-		return c.EnqueueTimeout
-	}
-	return 2 * time.Second
-}
-
-// SaturatedError reports a shard whose queue stayed full past the
-// enqueue timeout: the load-shed signal the serving layer translates
-// into 429 + Retry-After. RetryAfter is the coordinator's suggestion
-// for how long the client should back off.
-type SaturatedError struct {
-	Shard      int
-	RetryAfter time.Duration
-}
-
-func (e *SaturatedError) Error() string {
-	return fmt.Sprintf("shard: shard %d saturated (queue full past %s)", e.Shard, e.RetryAfter)
-}
-
-// errClosed reports an operation against a coordinator whose workers
-// have been stopped.
-var errClosed = errors.New("shard: coordinator closed")
-
-// Coordinator runs N shard engines as one logical model. Sessions are
-// routed by consistent hash on their id; each shard's engine is touched
-// only by that shard's worker goroutine, so per-shard reduction is
-// strictly sequential (one cache-hot reducer per shard) and the fleet
-// scales ingest across cores. Snapshot joins the shards back into one
-// model that is byte-identical to a single engine fed the same sessions
-// in canonical order — shard-major: all of shard 0's sessions in their
-// completion order, then shard 1's, and so on. The join is the engine's
-// own incremental one (stream.LiveJoin), fed only the sessions completed
-// since the previous snapshot.
+// Coordinator runs N shard engines as one logical model. It is a router,
+// not a pipeline: Open picks a session's shard by consistent hash on its
+// id and opens a stream.Session on that shard's engine, and every append,
+// Close and Abort then runs in the caller's goroutine — each upload
+// parses and reduces in its own handler, exactly as on one engine.
+// Snapshot joins the shards back into one model that is byte-identical
+// to a single engine fed the same sessions in canonical order —
+// shard-major: all of shard 0's sessions in their completion order, then
+// shard 1's, and so on. The join is the engine's own incremental one
+// (stream.LiveJoin), fed only the sessions completed since the previous
+// snapshot.
 type Coordinator struct {
 	cfg    Config
 	ring   *ring
 	shards []*shard
 	reg    *obs.Registry
 
-	mShed *obs.Counter // fleet-wide shed batches
+	mShed *obs.Counter // fleet-wide open-session-cap refusals
+
+	// cut orders session completions against fleet reads: Session.Close
+	// holds it shared, Snapshot and Provenance hold it exclusively while
+	// they read the shards' statistics and chains, so every shard's
+	// statistics, chains and calibration series describe one completed-
+	// session prefix. (Cross-shard skew is harmless: any union of
+	// per-shard prefixes is a valid session set, and the model is pinned
+	// to equal a single engine over precisely that set.)
+	cut sync.RWMutex
 
 	// Schema state: the coordinator pins one global schema (mining
 	// requires a uniform training schema) before any session reaches a
@@ -127,32 +83,21 @@ type Coordinator struct {
 	gdict   *mining.Dictionary
 	props   [][]int
 	folded  []int
-
-	stopc     chan struct{}
-	wg        sync.WaitGroup
-	closeOnce sync.Once
 }
 
-// shard is one engine plus its bounded task queue and the single worker
-// goroutine that owns all engine access for the shard.
+// shard is one engine plus its refusal counter.
 type shard struct {
-	idx     int
-	eng     *stream.Engine
-	q       chan task
-	stopc   chan struct{} // the coordinator's stop channel
-	gDepth  *obs.Gauge
-	mShed   *obs.Counter // this shard's shed batches
-	mShedAg *obs.Counter // the coordinator's fleet-wide shed counter
+	idx   int
+	eng   *stream.Engine
+	mShed *obs.Counter // this shard's open-session-cap refusals
 }
 
-// New builds and starts a coordinator: cfg.Shards engines, each behind
-// a bounded queue drained by a dedicated worker. Close stops the
-// workers.
+// New builds a coordinator over cfg.Shards engines. Its registry carries
+// the fleet's ingest totals (psmd_records_ingested_total,
+// psmd_traces_completed_total, psmd_sessions_open), read from Metrics at
+// every scrape, next to the snapshot and refusal instruments.
 func New(cfg Config) *Coordinator {
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	n := cfg.shards()
 	c := &Coordinator{
 		cfg:   cfg,
@@ -160,37 +105,25 @@ func New(cfg Config) *Coordinator {
 		reg:   reg,
 		live:  stream.NewLiveJoin(cfg.Stream, reg),
 		mShed: reg.Counter("psmd_shed_total"),
-		stopc: make(chan struct{}),
 	}
 	for i := 0; i < n; i++ {
 		scfg := cfg.Stream
 		scfg.Registry = nil // private per-engine registry; see Config.Stream
-		sh := &shard{
-			idx:     i,
-			eng:     stream.NewEngine(scfg),
-			q:       make(chan task, cfg.queueDepth()),
-			stopc:   c.stopc,
-			gDepth:  reg.Gauge(fmt.Sprintf("psmd_shard%d_queue_depth", i)),
-			mShed:   reg.Counter(fmt.Sprintf("psmd_shard%d_shed_total", i)),
-			mShedAg: c.mShed,
-		}
-		c.shards = append(c.shards, sh)
-		c.wg.Add(1)
-		go func() { defer c.wg.Done(); sh.run() }()
+		c.shards = append(c.shards, &shard{
+			idx:   i,
+			eng:   stream.NewEngine(scfg),
+			mShed: reg.Counter(fmt.Sprintf("psmd_shard%d_shed_total", i)),
+		})
 	}
+	reg.CounterFunc("psmd_records_ingested_total", func() int64 { return c.Metrics().RecordsIngested })
+	reg.CounterFunc("psmd_traces_completed_total", func() int64 { return int64(c.Metrics().TracesCompleted) })
+	reg.GaugeFunc("psmd_sessions_open", func() float64 { return float64(c.Metrics().OpenSessions) })
 	return c
 }
 
-// Close stops the shard workers after draining whatever is already
-// queued. Producers must be quiesced first (the serving layer shuts its
-// HTTP server down before closing the coordinator); operations racing a
-// Close fail with a closed-coordinator error rather than hanging.
-func (c *Coordinator) Close() {
-	c.closeOnce.Do(func() {
-		close(c.stopc)
-		c.wg.Wait()
-	})
-}
+// Close releases the coordinator. It runs no goroutines, so there is
+// nothing to stop; Close exists so owners can defer it unconditionally.
+func (c *Coordinator) Close() {}
 
 // Shards returns the shard count.
 func (c *Coordinator) Shards() int { return len(c.shards) }
@@ -202,13 +135,6 @@ func (c *Coordinator) Registry() *obs.Registry { return c.reg }
 // over the most recent sliding window (the /v1/status feed).
 func (c *Coordinator) JoinLatencyWindow() obs.HistogramSnapshot { return c.live.JoinLatencyWindow() }
 
-// Schema returns the pinned global schema (nil before the first Open).
-func (c *Coordinator) Schema() []trace.Signal {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.schema
-}
-
 // InputCols returns the primary-input column indices.
 func (c *Coordinator) InputCols() []int {
 	c.mu.Lock()
@@ -219,25 +145,39 @@ func (c *Coordinator) InputCols() []int {
 // ShardOf returns the shard a session id routes to (tests, ops).
 func (c *Coordinator) ShardOf(id string) int { return c.ring.shardOf(id) }
 
-// Session is one open trace being streamed through the coordinator.
-// Like stream.Session it is single-producer. Appends are asynchronous:
-// they enqueue onto the session's shard and are applied by the shard
-// worker, so a validation failure surfaces on a later call or at Close
-// (Err reports the first deferred failure early).
+// Session is one open trace on its shard's engine. Like stream.Session
+// it is single-producer, and every call runs synchronously in the
+// caller's goroutine: an error is the call's own, and a failed append
+// leaves the session open for the caller to Abort.
 type Session struct {
-	c  *Coordinator
-	sh *shard
-	id string
-	ws *wsession
+	c    *Coordinator
+	sh   *shard
+	sess *stream.Session
+	sigs []trace.Signal
+
+	// AppendLines decode state, reused across batches. The two arenas
+	// alternate: the engine keeps a batch's last row as input-HD history
+	// until the next batch lands, so a batch must never decode into the
+	// arena the previous one used.
+	arenas [2]logic.Arena
+	epoch  int
+	rowMem []logic.Vector
+	rows   [][]logic.Vector
+	pows   []float64
+	raw    stream.RawRecord
+	parser stream.LineParser
 }
 
-// Open routes a session to its shard by consistent hash on id (an
-// empty id is assigned one) and waits for the shard engine to accept
-// it, so engine-side rejections (schema mismatch, open-session cap)
-// surface synchronously. The first Open pins the coordinator's global
-// schema; later sessions must match it on arrival, before they reach
-// any shard.
+// Open routes a session to its shard by consistent hash on id (an empty
+// id is assigned one) and opens it on that shard's engine. The first
+// Open pins the coordinator's global schema; later sessions must match
+// it. When the shard's open-session cap refuses the session, the
+// stream.ErrSessionLimit error is counted as a shed in Shed and in the
+// shard's metrics row. A cancelled ctx opens nothing.
 func (c *Coordinator) Open(ctx context.Context, id string, sigs []trace.Signal) (*Session, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	c.mu.Lock()
 	if c.schema == nil {
 		if len(sigs) == 0 {
@@ -264,369 +204,86 @@ func (c *Coordinator) Open(ctx context.Context, id string, sigs []trace.Signal) 
 	c.mu.Unlock()
 
 	sh := c.shards[c.ring.shardOf(id)]
-	ws := &wsession{sigs: schema}
-	ack := make(chan error, 1)
-	if err := sh.enqueue(task{kind: taskOpen, ws: ws, sigs: schema, ack: ack}, c.cfg.enqueueTimeout()); err != nil {
+	ss, err := sh.eng.Open(schema)
+	if err != nil {
+		if errors.Is(err, stream.ErrSessionLimit) {
+			sh.mShed.Inc()
+			c.mShed.Inc()
+		}
 		return nil, err
 	}
-	select {
-	case err := <-ack:
-		if err != nil {
-			return nil, err
-		}
-	case <-ctx.Done():
-		// The queued open will still run; queue an abort behind it so
-		// the engine slot it takes is released again.
-		//psmlint:ignore err-drop best-effort cleanup on a cancelled open; the abort is a no-op if the coordinator is closing
-		sh.enqueueBlocking(task{kind: taskAbort, ws: ws})
-		return nil, ctx.Err()
-	case <-c.stopc:
-		return nil, errClosed
-	}
-	return &Session{c: c, sh: sh, id: id, ws: ws}, nil
+	return &Session{c: c, sh: sh, sess: ss, sigs: schema}, nil
 }
-
-// ID returns the session's (possibly auto-assigned) id.
-func (s *Session) ID() string { return s.id }
 
 // Shard returns the shard index the session routed to.
 func (s *Session) Shard() int { return s.sh.idx }
 
-// Err reports the first deferred failure of this session's asynchronous
-// appends (nil while healthy). After a failure the shard has already
-// aborted the underlying engine session; the producer should stop
-// streaming and surface the error.
-func (s *Session) Err() error { return s.ws.failure() }
+// Rows returns the number of records appended so far.
+func (s *Session) Rows() int { return s.sess.Rows() }
 
-// AppendRows hands a decoded batch to the shard worker. Ownership of
-// rows and powers transfers to the coordinator: the caller must not
-// reuse them (the engine retains the batch's last row as input-HD
-// history, see stream.Session.AppendBatch). Blocks at most the enqueue
-// timeout when the shard is saturated, then sheds with SaturatedError.
+// AppendRows reduces a decoded batch on the session's shard engine
+// (stream.Session.AppendBatch). The engine keeps the batch's last row as
+// input-HD history until the next append, so arena-backed callers
+// double-buffer their arenas.
 func (s *Session) AppendRows(rows [][]logic.Vector, powers []float64) error {
-	if err := s.ws.failure(); err != nil {
-		return err
-	}
-	return s.sh.enqueue(task{kind: taskRows, ws: s.ws, rows: rows, pows: powers}, s.c.cfg.enqueueTimeout())
+	return s.sess.AppendBatch(rows, powers)
 }
 
-// AppendLines hands framed NDJSON record lines to the shard worker,
-// which parses them there (stream.LineParser + DecodeRowArena) — the
-// sharded hot path: the HTTP handler only frames and copies lines, the
-// per-shard worker pays the parse and the reduction. buf must hold
-// exactly records newline-terminated record lines and ownership
-// transfers; firstLine is the 1-based position of buf's first line in
-// the upload (error-text accounting, the header is line 1).
+// AppendLines parses framed NDJSON record lines (stream.LineParser +
+// DecodeRowArena) and reduces them in one AppendRows. buf holds records
+// newline-terminated record lines and is not retained; firstLine is the
+// 1-based position of buf's first line in the upload (error-text
+// accounting, the header is line 1). On error nothing of buf is
+// appended.
 func (s *Session) AppendLines(buf []byte, records, firstLine int) error {
-	if err := s.ws.failure(); err != nil {
-		return err
-	}
-	return s.sh.enqueue(task{kind: taskLines, ws: s.ws, lines: buf, nlines: records, firstLine: firstLine}, s.c.cfg.enqueueTimeout())
-}
-
-// Close completes the session on its shard and waits for the result:
-// the shard-local trace index and the record count that landed. Any
-// deferred append failure surfaces here at the latest.
-func (s *Session) Close(ctx context.Context) (traceIdx, rows int, err error) {
-	res := make(chan closeAck, 1)
-	if err := s.sh.enqueueBlocking(task{kind: taskClose, ws: s.ws, res: res}); err != nil {
-		return 0, 0, err
-	}
-	select {
-	case a := <-res:
-		return a.trace, a.rows, a.err
-	case <-ctx.Done():
-		return 0, 0, ctx.Err()
-	case <-s.c.stopc:
-		return 0, 0, errClosed
-	}
-}
-
-// Abort discards the session (client disconnect mid-upload): nothing it
-// streamed reaches the model. The abort is queued behind any in-flight
-// appends and never sheds.
-func (s *Session) Abort() {
-	//psmlint:ignore err-drop an abort racing coordinator shutdown has nothing left to clean up
-	s.sh.enqueueBlocking(task{kind: taskAbort, ws: s.ws})
-}
-
-// Flush blocks until every task enqueued on every shard before the
-// call has been applied to the shard engines — the graceful-drain
-// barrier before a final snapshot.
-func (c *Coordinator) Flush(ctx context.Context) error {
-	acks := make([]chan error, len(c.shards))
-	for i, sh := range c.shards {
-		acks[i] = make(chan error, 1)
-		if err := sh.enqueueBlocking(task{kind: taskFlush, ack: acks[i]}); err != nil {
-			return err
-		}
-	}
-	for _, ack := range acks {
-		select {
-		case <-ack:
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-c.stopc:
-			return errClosed
-		}
-	}
-	return nil
-}
-
-// taskKind discriminates the shard queue's messages.
-type taskKind int
-
-const (
-	taskOpen taskKind = iota
-	taskRows
-	taskLines
-	taskClose
-	taskAbort
-	taskFlush
-	taskHold
-)
-
-// closeAck is the worker's reply to a taskClose.
-type closeAck struct {
-	trace int
-	rows  int
-	err   error
-}
-
-// task is one shard-queue message. Appends carry their payload by
-// ownership transfer; control messages carry reply channels.
-type task struct {
-	kind      taskKind
-	ws        *wsession
-	sigs      []trace.Signal   // taskOpen
-	rows      [][]logic.Vector // taskRows
-	pows      []float64        // taskRows
-	lines     []byte           // taskLines: newline-terminated record lines
-	nlines    int              // taskLines: record count in lines
-	firstLine int              // taskLines: 1-based upload line of lines[0]
-	ack       chan error       // taskOpen (buffered), taskFlush (closed)
-	res       chan closeAck    // taskClose (buffered)
-	held      chan struct{}    // taskHold: closed once the worker is parked
-	release   chan struct{}    // taskHold: worker resumes when closed
-}
-
-// wsession is the worker-side state of one session. The worker owns
-// everything except err, which the producer reads through failure().
-type wsession struct {
-	sigs   []trace.Signal
-	sess   *stream.Session
-	arenas [2]logic.Arena // double-buffered: the engine keeps the last row one extra batch
-	epoch  int
-	rowMem []logic.Vector
-	rows   [][]logic.Vector
-	pows   []float64
-	raw    stream.RawRecord
-	parser stream.LineParser
-	dead   bool // worker-only: aborted/closed, later tasks are dropped
-
-	mu  sync.Mutex
-	err error
-}
-
-func (ws *wsession) fail(err error) {
-	ws.mu.Lock()
-	if ws.err == nil {
-		ws.err = err
-	}
-	ws.mu.Unlock()
-}
-
-func (ws *wsession) failure() error {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	return ws.err
-}
-
-// kill records the session's first failure and discards it from the
-// engine; every later task of the session is dropped.
-func (ws *wsession) kill(err error) {
-	ws.fail(err)
-	if ws.sess != nil {
-		ws.sess.Abort()
-	}
-	ws.dead = true
-}
-
-// enqueue offers a task with backpressure: an immediate slot wins, a
-// full queue blocks up to timeout, then the task is shed with a
-// SaturatedError naming the shard.
-func (sh *shard) enqueue(t task, timeout time.Duration) error {
-	select {
-	case sh.q <- t:
-		sh.gDepth.Set(float64(len(sh.q)))
-		return nil
-	case <-sh.stopc:
-		return errClosed
-	default:
-	}
-	//psmlint:ignore nondet-source backpressure deadline; sheds load, never reaches the model
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case sh.q <- t:
-		sh.gDepth.Set(float64(len(sh.q)))
-		return nil
-	case <-timer.C:
-		sh.mShed.Inc()
-		sh.mShedAg.Inc()
-		return &SaturatedError{Shard: sh.idx, RetryAfter: timeout}
-	case <-sh.stopc:
-		return errClosed
-	}
-}
-
-// enqueueBlocking queues a control message that must not be shed
-// (close, abort, flush, hold): it waits for a slot however long that
-// takes — the worker is always draining — and fails only when the
-// coordinator is shutting down.
-func (sh *shard) enqueueBlocking(t task) error {
-	select {
-	case sh.q <- t:
-		sh.gDepth.Set(float64(len(sh.q)))
-		return nil
-	case <-sh.stopc:
-		return errClosed
-	}
-}
-
-// run is the shard worker: the only goroutine that touches the shard's
-// engine. On stop it drains what is already queued, then exits.
-func (sh *shard) run() {
-	for {
-		select {
-		case t := <-sh.q:
-			sh.gDepth.Set(float64(len(sh.q)))
-			sh.handle(t)
-		case <-sh.stopc:
-			for {
-				select {
-				case t := <-sh.q:
-					sh.handle(t)
-				default:
-					sh.gDepth.Set(0)
-					return
-				}
-			}
-		}
-	}
-}
-
-// handle applies one task to the shard engine.
-func (sh *shard) handle(t task) {
-	switch t.kind {
-	case taskOpen:
-		ss, err := sh.eng.Open(t.sigs)
-		if err != nil {
-			t.ws.kill(err)
-		} else {
-			t.ws.sess = ss
-		}
-		t.ack <- err
-	case taskRows:
-		if t.ws.dead {
-			return
-		}
-		if err := t.ws.sess.AppendBatch(t.rows, t.pows); err != nil {
-			t.ws.kill(err)
-		}
-	case taskLines:
-		sh.handleLines(t)
-	case taskClose:
-		ws := t.ws
-		if ws.dead {
-			err := ws.failure()
-			if err == nil {
-				err = fmt.Errorf("stream: session closed twice")
-			}
-			t.res <- closeAck{err: err}
-			return
-		}
-		rows := ws.sess.Rows()
-		idx, err := ws.sess.Close()
-		ws.dead = true
-		if err != nil {
-			ws.fail(err)
-		}
-		t.res <- closeAck{trace: idx, rows: rows, err: err}
-	case taskAbort:
-		if !t.ws.dead && t.ws.sess != nil {
-			t.ws.sess.Abort()
-		}
-		t.ws.dead = true
-	case taskFlush:
-		close(t.ack)
-	case taskHold:
-		// Park until released: the snapshot path holds every shard to
-		// read a consistent per-shard cut (stats + chains + series).
-		close(t.held)
-		<-t.release
-	}
-}
-
-// handleLines parses one framed line batch into the session's arenas
-// and reduces it in a single AppendBatch — the serve.handleTraces hot
-// path, relocated onto the shard worker so N shards parse and reduce
-// on N cores while the HTTP handlers only frame bytes.
-func (sh *shard) handleLines(t task) {
-	ws := t.ws
-	if ws.dead {
-		return
-	}
-	// Two alternating arenas: the engine references the previous batch's
-	// last row until this batch lands, so this batch must decode into
-	// the arena the batch before last used, never the immediately
-	// previous one.
-	a := &ws.arenas[ws.epoch&1]
+	a := &s.arenas[s.epoch&1]
 	a.Reset()
-	ws.epoch++
-	if need := t.nlines * len(ws.sigs); cap(ws.rowMem) < need {
-		ws.rowMem = make([]logic.Vector, need)
+	s.epoch++
+	if need := records * len(s.sigs); cap(s.rowMem) < need {
+		s.rowMem = make([]logic.Vector, need)
 	}
-	ws.rows = ws.rows[:0]
-	ws.pows = ws.pows[:0]
-	buf, lineno := t.lines, t.firstLine
+	s.rows, s.pows = s.rows[:0], s.pows[:0]
+	lineno := firstLine
 	for len(buf) > 0 {
-		nl := bytes.IndexByte(buf, '\n')
-		if nl < 0 {
-			nl = len(buf) // a final unterminated line is still a line
-		}
-		line := buf[:nl]
-		if nl < len(buf) {
-			buf = buf[nl+1:]
-		} else {
-			buf = nil
-		}
+		var line []byte
+		line, buf, _ = bytes.Cut(buf, []byte{'\n'})
 		if len(line) == 0 {
 			continue
 		}
-		if err := ws.parser.Parse(line, lineno, &ws.raw); err != nil {
-			ws.kill(err)
-			return
+		if err := s.parser.Parse(line, lineno, &s.raw); err != nil {
+			return err
 		}
-		if ws.raw.P == nil {
-			ws.kill(fmt.Errorf("stream: record %d: training records need a power value \"p\"",
-				ws.sess.Rows()+len(ws.rows)+1))
-			return
+		if s.raw.P == nil {
+			return fmt.Errorf("stream: record %d: training records need a power value \"p\"",
+				s.sess.Rows()+len(s.rows)+1)
 		}
-		k := len(ws.rows) * len(ws.sigs)
-		row, err := stream.DecodeRowArena(ws.sigs, &ws.raw, a, ws.rowMem[k:k:k+len(ws.sigs)])
+		k := len(s.rows) * len(s.sigs)
+		row, err := stream.DecodeRowArena(s.sigs, &s.raw, a, s.rowMem[k:k:k+len(s.sigs)])
 		if err != nil {
-			ws.kill(err)
-			return
+			return err
 		}
-		ws.rows = append(ws.rows, row)
-		ws.pows = append(ws.pows, *ws.raw.P)
+		s.rows = append(s.rows, row)
+		s.pows = append(s.pows, *s.raw.P)
 		lineno++
 	}
-	if len(ws.rows) == 0 {
-		return
-	}
-	if err := ws.sess.AppendBatch(ws.rows, ws.pows); err != nil {
-		ws.kill(err)
-	}
+	return s.AppendRows(s.rows, s.pows)
 }
+
+// Close completes the session on its shard and returns the shard-local
+// trace index and the record count that landed. A cancelled ctx aborts
+// the session instead: nothing of a departed caller reaches the model.
+func (s *Session) Close(ctx context.Context) (traceIdx, rows int, err error) {
+	if err := ctx.Err(); err != nil {
+		s.Abort()
+		return 0, 0, err
+	}
+	rows = s.sess.Rows()
+	s.c.cut.RLock()
+	defer s.c.cut.RUnlock()
+	traceIdx, err = s.sess.Close()
+	return traceIdx, rows, err
+}
+
+// Abort discards the session (client disconnect mid-upload): nothing it
+// streamed reaches the model. Aborting twice, or after Close, is a no-op.
+func (s *Session) Abort() { s.sess.Abort() }

@@ -1,7 +1,6 @@
 package shard_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -16,12 +15,12 @@ import (
 )
 
 // TestCoordinatorHammer races concurrent sessions (with mid-session
-// aborts) against continuous snapshots and periodic flushes on a
-// 4-shard coordinator. The coordinator must come out clean: no open
-// sessions, aborted sessions invisible, and the final model
-// byte-identical to the batch flow over the completed sessions in
-// canonical shard-major order. Under `make race` this is the data-race
-// hammer for the queue/hold-barrier/snapshot interleaving.
+// aborts) against continuous snapshots on a 4-shard coordinator. The
+// coordinator must come out clean: no open sessions, aborted sessions
+// invisible, and the final model byte-identical to the batch flow over
+// the completed sessions in canonical shard-major order. Under
+// `make race` this is the data-race hammer for the close/cut-lock/
+// snapshot interleaving.
 func TestCoordinatorHammer(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	c := genParityCase(rng)
@@ -34,23 +33,16 @@ func TestCoordinatorHammer(t *testing.T) {
 	bgWG.Add(1)
 	go func() {
 		defer bgWG.Done()
-		for k := 0; ; k++ {
+		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if k%5 == 4 {
-				if err := co.Flush(ctx); err != nil {
-					t.Error(err)
-					return
-				}
-			} else {
-				// "no completed traces" is expected early in the hammer;
-				// consistency is asserted by the final snapshot.
-				//psmlint:ignore err-drop chaos arm; the final snapshot asserts consistency
-				_, _ = co.Snapshot(ctx)
-			}
+			// "no completed traces" is expected early in the hammer;
+			// consistency is asserted by the final snapshot.
+			//psmlint:ignore err-drop chaos arm; the final snapshot asserts consistency
+			_, _ = co.Snapshot(ctx)
 			time.Sleep(300 * time.Microsecond)
 		}
 	}()
@@ -120,9 +112,6 @@ func TestCoordinatorHammer(t *testing.T) {
 	if len(closed) == 0 {
 		t.Fatal("hammer completed no sessions")
 	}
-	if err := co.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
 
 	sortDone := func(a, b done) bool {
 		if a.shardIdx != b.shardIdx {
@@ -173,101 +162,67 @@ func TestCoordinatorHammer(t *testing.T) {
 	}
 }
 
-// encodeRepeatedLines renders trace `idx` of the case as wire-format
-// NDJSON record lines, repeated `repeats` times (no header line).
-func encodeRepeatedLines(c parityCase, idx, repeats int) ([]byte, int) {
-	var buf bytes.Buffer
-	n := 0
-	for k := 0; k < repeats; k++ {
-		for r := 0; r < c.fts[idx].Len(); r++ {
-			row := c.fts[idx].Row(r)
-			buf.WriteString(`{"v":[`)
-			for j, v := range row {
-				if j > 0 {
-					buf.WriteByte(',')
-				}
-				fmt.Fprintf(&buf, "%q", v.Hex())
-			}
-			fmt.Fprintf(&buf, `],"p":%g}`+"\n", c.pws[idx].Values[r])
-			n++
-		}
-	}
-	return buf.Bytes(), n
-}
-
-// TestBackpressureShedsWithSaturatedError pins the load-shed contract:
-// with a depth-1 queue and a 1ms enqueue timeout, appends behind a
-// parse-heavy batch must fail with SaturatedError carrying the shard
-// index and the timeout as the Retry-After hint, and both the fleet
-// Shed counter and the per-shard metric row must account for every
-// shed batch.
-func TestBackpressureShedsWithSaturatedError(t *testing.T) {
+// TestSessionCapRefusalIsShed pins the load-shed contract of the
+// router: the only refusal left is a shard's open-session cap, and each
+// one must surface as stream.ErrSessionLimit and be counted both in the
+// fleet Shed counter and in the refusing shard's metrics row — never in
+// another shard's. The refused sessions must leave no state behind.
+func TestSessionCapRefusalIsShed(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c := genParityCase(rng)
 	mcfg, merge, cal := flowPolicies()
 	co := shard.New(shard.Config{
-		Shards:         1,
-		QueueDepth:     1,
-		EnqueueTimeout: time.Millisecond,
+		Shards: 2,
 		Stream: stream.Config{
-			Workers:     1,
-			Mining:      mcfg,
-			Merge:       merge,
-			Calibration: cal,
-			Inputs:      c.inputs,
+			Workers:         1,
+			Mining:          mcfg,
+			Merge:           merge,
+			Calibration:     cal,
+			Inputs:          c.inputs,
+			MaxOpenSessions: 1,
 		},
 	})
 	defer co.Close()
 	ctx := context.Background()
 
-	s, err := co.Open(ctx, "slow", c.fts[0].Signals)
+	// Two ids on the same shard: the second one hits that shard's cap.
+	var ids []string
+	for k := 0; len(ids) < 2; k++ {
+		if id := fmt.Sprintf("cap-%d", k); co.ShardOf(id) == 1 {
+			ids = append(ids, id)
+		}
+	}
+	held, err := co.Open(ctx, ids[0], c.fts[0].Signals)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each batch takes the worker far longer to parse than the 1ms
-	// enqueue timeout, so with one slot past the in-flight batch the
-	// pump below must shed at least once.
-	payload, nrec := encodeRepeatedLines(c, 0, 400)
-	shed := 0
-	var sat *shard.SaturatedError
-	for k := 0; k < 6; k++ {
-		buf := append([]byte(nil), payload...)
-		if err := s.AppendLines(buf, nrec, 2); err != nil {
-			if !errors.As(err, &sat) {
-				t.Fatalf("append %d: unexpected error: %v", k, err)
-			}
-			shed++
+	const refusals = 3
+	for k := 0; k < refusals; k++ {
+		if _, err := co.Open(ctx, ids[1], c.fts[0].Signals); !errors.Is(err, stream.ErrSessionLimit) {
+			t.Fatalf("open %d over the cap: err = %v, want ErrSessionLimit", k, err)
 		}
 	}
-	if shed == 0 {
-		t.Fatal("no batch shed at queue depth 1 with a 1ms enqueue timeout")
-	}
-	if sat.Shard != 0 {
-		t.Fatalf("SaturatedError names shard %d, want 0", sat.Shard)
-	}
-	if sat.RetryAfter != time.Millisecond {
-		t.Fatalf("SaturatedError Retry-After %v, want the enqueue timeout (1ms)", sat.RetryAfter)
-	}
-	if got := co.Shed(); got != int64(shed) {
-		t.Fatalf("fleet shed counter %d, want %d", got, shed)
+	if got := co.Shed(); got != refusals {
+		t.Fatalf("fleet shed counter %d, want %d", got, refusals)
 	}
 	rows := co.ShardMetrics()
-	if len(rows) != 1 {
-		t.Fatalf("%d shard metric rows, want 1", len(rows))
+	if len(rows) != 2 {
+		t.Fatalf("%d shard metric rows, want 2", len(rows))
 	}
-	if rows[0].Shed != int64(shed) {
-		t.Fatalf("shard row shed %d, want %d", rows[0].Shed, shed)
+	if rows[0].Shed != 0 || rows[1].Shed != refusals {
+		t.Fatalf("shard rows shed %d/%d, want 0/%d", rows[0].Shed, rows[1].Shed, refusals)
 	}
-	if rows[0].QueueCap != 1 {
-		t.Fatalf("shard row queue cap %d, want 1", rows[0].QueueCap)
+	if got := co.Registry().Snapshot().Counters["psmd_shard1_shed_total"]; got != refusals {
+		t.Fatalf("psmd_shard1_shed_total = %d, want %d", got, refusals)
 	}
-	// The session survives shedding: the client decides whether to
-	// retry or abandon. Abandon here and verify nothing leaks.
+	// Freeing the slot admits the next session.
+	held.Abort()
+	s, err := co.Open(ctx, ids[1], c.fts[0].Signals)
+	if err != nil {
+		t.Fatalf("open after the slot freed: %v", err)
+	}
 	s.Abort()
-	if err := co.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if m := co.Metrics(); m.OpenSessions != 0 || m.TracesCompleted != 0 {
-		t.Fatalf("shed/aborted session leaked state: %+v", m)
+	if m := co.Metrics(); m.OpenSessions != 0 || m.TracesCompleted != 0 || m.RecordsIngested != 0 {
+		t.Fatalf("refused/aborted sessions leaked state: %+v", m)
 	}
 }

@@ -1,13 +1,13 @@
 // Package shard runs several stream.Engines as one logical psmd: a
-// coordinator partitions inbound sessions across N shards by consistent
-// hash on the session id, each shard reduces its sessions on a
-// dedicated worker behind a bounded queue (backpressure instead of
-// unbounded buffering), and a cross-shard snapshot interns the shards'
-// new propositions into one canonical global dictionary and folds their
-// new chains into the engine's incremental join (stream.LiveJoin) — so
-// the served model is byte-identical to a single engine over the same
-// sessions in canonical order, for any shard count and any
-// interleaving (pinned by the cross-shard parity suite).
+// coordinator routes each inbound session to one of N shards by
+// consistent hash on the session id, the session's producer parses and
+// reduces it on that shard's engine in its own goroutine, and a
+// cross-shard snapshot interns the shards' new propositions into one
+// canonical global dictionary and folds their new chains into the
+// engine's incremental join (stream.LiveJoin) — so the served model is
+// byte-identical to a single engine over the same sessions in canonical
+// order, for any shard count and any interleaving (pinned by the
+// cross-shard parity suite).
 package shard
 
 import (

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 
 	"psmkit/internal/mining"
 	"psmkit/internal/obs"
@@ -12,83 +11,13 @@ import (
 	"psmkit/internal/stream"
 )
 
-// holdAll parks every shard worker at a barrier: a hold task is queued
-// behind whatever each shard already has, and once a worker reaches it
-// the shard's queue prefix is fully applied and the worker touches its
-// engine no further until released. The returned release is idempotent
-// and must always be called. Holding all shards gives the snapshot a
-// consistent per-shard cut — each shard's statistics, chains and
-// calibration series describe exactly the same completed-session
-// prefix. (Cross-shard skew is harmless: any union of per-shard
-// prefixes is a valid session set, and the model is pinned to equal a
-// single engine over precisely that set.)
-func (c *Coordinator) holdAll(ctx context.Context) (release func(), err error) {
-	helds := make([]chan struct{}, len(c.shards))
-	releases := make([]chan struct{}, len(c.shards))
-	var once sync.Once
-	release = func() {
-		once.Do(func() {
-			for _, r := range releases {
-				if r != nil {
-					close(r)
-				}
-			}
-		})
-	}
-	for i, sh := range c.shards {
-		helds[i] = make(chan struct{})
-		releases[i] = make(chan struct{})
-		if err := sh.enqueueBlocking(task{kind: taskHold, held: helds[i], release: releases[i]}); err != nil {
-			releases[i] = nil // never queued: nothing will wait on it
-			release()
-			return nil, err
-		}
-	}
-	for i := range helds {
-		select {
-		case <-helds[i]:
-		case <-ctx.Done():
-			release()
-			return nil, ctx.Err()
-		case <-c.stopc:
-			release()
-			return nil, errClosed
-		}
-	}
-	return release, nil
-}
-
-// globalCut is the fleet-wide mining evidence read under a hold.
-type globalCut struct {
-	stats  []mining.AtomStats
-	rows   int
-	traces int
-}
-
-// miningCut sums the shards' mining statistics. AtomStats fields are
-// exact integer counts, so the sum equals a single engine's statistics
-// over the union of the shards' sessions — the global kept-set decision
-// is exactly the one engine's. Caller holds the shards.
-func (c *Coordinator) miningCut(candidates []mining.Atom) globalCut {
-	cut := globalCut{stats: make([]mining.AtomStats, len(candidates))}
-	for _, sh := range c.shards {
-		st, rows, traces := sh.eng.MiningStats()
-		if len(st) > 0 {
-			mining.MergeStats(cut.stats, st)
-		}
-		cut.rows += rows
-		cut.traces += traces
-	}
-	return cut
-}
-
 // Snapshot materializes the fleet's current model: byte-identical to a
 // single stream.Engine (and so to pipeline.BuildModel) over the same
 // sessions in canonical order — shard-major, each shard's sessions in
 // its completion order — for any shard count and any interleaving.
 //
-// The cut is taken under a fleet-wide hold (statistics, chains and
-// calibration series of one consistent per-shard prefix); the hold is
+// The cut is read under the exclusive cut lock (statistics, chains and
+// calibration series of one consistent per-shard prefix); the lock is
 // released before the join, which runs on immutable exports. The join
 // is incremental, like a single engine's: only the sessions completed
 // since the previous snapshot are remapped into the global dictionary
@@ -111,31 +40,10 @@ func (c *Coordinator) Snapshot(ctx context.Context) (*psm.Model, error) {
 		return nil, fmt.Errorf("shard: %w", stream.ErrNoTraces)
 	}
 
-	release, err := c.holdAll(ctx)
+	idx, exps, err := c.export(ctx, candidates)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-
-	cut := c.miningCut(candidates)
-	if cut.traces == 0 {
-		return nil, fmt.Errorf("shard: %w", stream.ErrNoTraces)
-	}
-	idx := mining.SelectIndices(candidates, cut.stats, cut.rows, c.cfg.Stream.Mining)
-	if len(idx) == 0 {
-		return nil, fmt.Errorf("shard: no atomic proposition survived filtering (%d candidates over %d instants)",
-			len(candidates), cut.rows)
-	}
-
-	exps := make([]stream.ShardExport, len(c.shards))
-	for i, sh := range c.shards {
-		if exps[i], err = sh.eng.ExportChains(ctx, idx); err != nil {
-			return nil, err
-		}
-	}
-	// The exports are immutable copies/shared-immutable storage: the
-	// remap and join below run with the fleet already ingesting again.
-	release()
 
 	rebuild := !slices.Equal(idx, c.keptIdx)
 	last := -1 // the last shard with folded sessions
@@ -178,12 +86,59 @@ func (c *Coordinator) Snapshot(ctx context.Context) (*psm.Model, error) {
 	return c.live.Serve(ctx, span, chains, c.gdict, hds, pws), nil
 }
 
+// export reads the fleet's kept atom set and every shard's chains under
+// the exclusive cut lock. The exports are immutable copies or
+// shared-immutable storage, so the caller remaps and joins them with
+// sessions completing again.
+func (c *Coordinator) export(ctx context.Context, candidates []mining.Atom) ([]int, []stream.ShardExport, error) {
+	c.cut.Lock()
+	defer c.cut.Unlock()
+	idx, err := c.keptIndices(candidates)
+	if err != nil {
+		return nil, nil, err
+	}
+	exps := make([]stream.ShardExport, len(c.shards))
+	for i, sh := range c.shards {
+		if exps[i], err = sh.eng.ExportChains(ctx, idx); err != nil {
+			return nil, nil, err
+		}
+	}
+	return idx, exps, nil
+}
+
+// keptIndices selects the global kept atom set from the shards' summed
+// mining statistics. AtomStats fields are exact integer counts, so the
+// sum equals a single engine's statistics over the union of the shards'
+// sessions — the global kept-set decision is exactly the one engine's.
+// Caller holds the cut lock exclusively.
+func (c *Coordinator) keptIndices(candidates []mining.Atom) ([]int, error) {
+	stats := make([]mining.AtomStats, len(candidates))
+	rows, traces := 0, 0
+	for _, sh := range c.shards {
+		st, n, t := sh.eng.MiningStats()
+		if len(st) > 0 {
+			mining.MergeStats(stats, st)
+		}
+		rows += n
+		traces += t
+	}
+	if traces == 0 {
+		return nil, fmt.Errorf("shard: %w", stream.ErrNoTraces)
+	}
+	idx := mining.SelectIndices(candidates, stats, rows, c.cfg.Stream.Mining)
+	if len(idx) == 0 {
+		return nil, fmt.Errorf("shard: no atomic proposition survived filtering (%d candidates over %d instants)",
+			len(candidates), rows)
+	}
+	return idx, nil
+}
+
 // Provenance re-derives every mergeability decision of the fleet's
 // current model, exactly as a single engine over the canonical session
 // order would (see Engine.Provenance): fresh global dictionary, chain
 // replays shard by shard in index order with canonical trace indices,
-// one sequential pooled collapse. The hold lasts through the replay —
-// the kept set and the replayed sessions must be one cut.
+// one sequential pooled collapse. The cut lock is held through the
+// replay — the kept set and the replayed sessions must be one cut.
 func (c *Coordinator) Provenance(ctx context.Context) ([]obs.MergeDecision, error) {
 	ctx, span := obs.Start(ctx, "provenance", obs.KV("shards", len(c.shards)))
 	defer span.End()
@@ -197,20 +152,11 @@ func (c *Coordinator) Provenance(ctx context.Context) ([]obs.MergeDecision, erro
 		return nil, fmt.Errorf("shard: %w", stream.ErrNoTraces)
 	}
 
-	release, err := c.holdAll(ctx)
+	c.cut.Lock()
+	defer c.cut.Unlock()
+	idx, err := c.keptIndices(candidates)
 	if err != nil {
 		return nil, err
-	}
-	defer release()
-
-	cut := c.miningCut(candidates)
-	if cut.traces == 0 {
-		return nil, fmt.Errorf("shard: %w", stream.ErrNoTraces)
-	}
-	idx := mining.SelectIndices(candidates, cut.stats, cut.rows, c.cfg.Stream.Mining)
-	if len(idx) == 0 {
-		return nil, fmt.Errorf("shard: no atomic proposition survived filtering (%d candidates over %d instants)",
-			len(candidates), cut.rows)
 	}
 	dict := mining.NewDictionary(schema, candidates, idx)
 
@@ -265,16 +211,14 @@ func remapChain(c *psm.Chain, dict *mining.Dictionary, props []int, traceIdx int
 }
 
 // ShardMetric is one shard's row of the fleet metrics: the shard
-// engine's ingest counters plus the queue the coordinator runs in front
-// of it.
+// engine's ingest counters and chain-cache rebuilds, plus the sessions
+// its open-session cap refused (Shed).
 type ShardMetric struct {
 	Shard           int   `json:"shard"`
 	RecordsIngested int64 `json:"records_ingested"`
 	OpenSessions    int   `json:"open_sessions"`
 	TracesCompleted int   `json:"traces_completed"`
 	Rebuilds        int   `json:"rebuilds"`
-	QueueDepth      int   `json:"queue_depth"`
-	QueueCap        int   `json:"queue_cap"`
 	Shed            int64 `json:"shed_total"`
 }
 
@@ -289,8 +233,6 @@ func (c *Coordinator) ShardMetrics() []ShardMetric {
 			OpenSessions:    em.OpenSessions,
 			TracesCompleted: em.TracesCompleted,
 			Rebuilds:        em.Rebuilds,
-			QueueDepth:      len(sh.q),
-			QueueCap:        cap(sh.q),
 			Shed:            sh.mShed.Value(),
 		}
 	}
@@ -312,5 +254,6 @@ func (c *Coordinator) Metrics() stream.Metrics {
 	return m
 }
 
-// Shed returns the total number of shed append batches across shards.
+// Shed returns the number of sessions the shards' open-session caps
+// refused (the 429 load-shed), fleet-wide.
 func (c *Coordinator) Shed() int64 { return c.mShed.Value() }

@@ -36,9 +36,9 @@ type Config struct {
 	// MaxOpenSessions caps concurrently open sessions (0 = unlimited).
 	MaxOpenSessions int
 	// Registry receives the engine's metrics; nil gives the engine a
-	// private registry (Engine.Registry exposes it either way). Sharing
-	// one registry across engines in a process is the caller's choice —
-	// the counters are named per concern, not per engine.
+	// private registry. Sharing one registry across engines in a process
+	// is the caller's choice — the counters are named per concern, not
+	// per engine.
 	Registry *obs.Registry
 	// JoinMemoEntries bounds the mergeability-verdict memo the live
 	// incremental join (LiveJoin) keeps across snapshots — the engine's,
@@ -180,10 +180,9 @@ type Engine struct {
 	cfg        Config
 	candidates []mining.Atom // fixed per schema
 
-	// Registry-backed instruments (handles resolved once at construction;
-	// the registry itself serves Prometheus/JSON export). mRecords is the
-	// lock-free append counter; everything else mutates under mu only.
-	reg      *obs.Registry
+	// Registry-backed instruments (handles resolved once at construction).
+	// mRecords is the lock-free append counter; everything else mutates
+	// under mu only.
 	mRecords *obs.Counter
 	mTraces  *obs.Counter
 	gOpen    *obs.Gauge
@@ -212,22 +211,12 @@ func NewEngine(cfg Config) *Engine {
 	}
 	return &Engine{
 		cfg:      cfg,
-		reg:      reg,
 		live:     NewLiveJoin(cfg, reg),
 		mRecords: reg.Counter("psmd_records_ingested_total"),
 		mTraces:  reg.Counter("psmd_traces_completed_total"),
 		gOpen:    reg.Gauge("psmd_sessions_open"),
 	}
 }
-
-// Registry exposes the engine's metrics registry (for export surfaces
-// like psmd's /metrics).
-func (e *Engine) Registry() *obs.Registry { return e.reg }
-
-// JoinLatencyWindow returns the join-latency distribution over the most
-// recent sliding window — the live counterpart of the cumulative
-// psmd_join_latency_ms histogram, feeding /v1/status quantiles.
-func (e *Engine) JoinLatencyWindow() obs.HistogramSnapshot { return e.live.JoinLatencyWindow() }
 
 // Session is one open trace being streamed in. It is single-producer:
 // Append/Close/Abort must not be called concurrently on the same session,
@@ -276,13 +265,6 @@ func (e *Engine) Open(sigs []trace.Signal) (*Session, error) {
 		data:   &sessionData{},
 		schema: e.schema,
 	}, nil
-}
-
-// Schema returns the engine's signal schema (nil before the first Open).
-func (e *Engine) Schema() []trace.Signal {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.schema
 }
 
 // InputCols returns the primary-input column indices (for the estimator).
@@ -350,7 +332,8 @@ func (s *Session) Append(row []logic.Vector, power float64) error {
 // Row vectors are not retained beyond the NEXT AppendBatch/Append call:
 // the last row of the batch stays referenced as the input-HD history
 // until the following call replaces it. Arena-backed callers therefore
-// double-buffer two arenas (see serve.handleTraces).
+// double-buffer two arenas (see serve.handleTraces and
+// shard.Session.AppendLines).
 func (s *Session) AppendBatch(rows [][]logic.Vector, powers []float64) error {
 	if len(rows) != len(powers) {
 		return fmt.Errorf("stream: batch has %d rows, %d powers", len(rows), len(powers))

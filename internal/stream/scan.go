@@ -212,9 +212,9 @@ func (s *Scanner) ScanRecord(rec *RawRecord) error {
 	return nil
 }
 
-// LineParser parses already-framed NDJSON record lines: the shard
-// ingest path, where the HTTP handler only frames and copies lines and
-// a shard worker parses them off its queue. It runs the Scanner's
+// LineParser parses already-framed NDJSON record lines
+// (shard.Session.AppendLines, for callers that frame batches of raw
+// lines themselves). It runs the Scanner's
 // strict fast path with the same encoding/json fallback, so an
 // accepted line decodes exactly as Scanner.ScanRecord would and a
 // rejected one fails with the same error shape. lineno is the record's

@@ -118,6 +118,7 @@ bench-build:
 FUZZTIME ?= 5s
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzVCDParse -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzCSVParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/check -run '^$$' -fuzz FuzzModelJSON -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stream -run '^$$' -fuzz FuzzWireScan -fuzztime $(FUZZTIME)
 

@@ -11,8 +11,10 @@
 // Every functional trace needs its power trace in the same position; the
 // -inputs list names the primary-input signals (used by the calibration
 // regression). -j bounds the worker goroutines of the parallel pipeline
-// (default: all processors); the generated model is bit-identical for
-// every -j value, so the flag only changes wall time.
+// — trace reading, mining, generation, the join and the training-set
+// self-check all fan out (default: all processors); the generated model
+// and the printed training MRE are identical for every -j value, so the
+// flag only changes wall time.
 package main
 
 import (
@@ -48,7 +50,7 @@ func main() {
 	maxCV := flag.Float64("max-cv", psm.DefaultCalibrationPolicy().MaxCV, "calibrate: CV threshold for data-dependent states")
 	minR := flag.Float64("min-r", psm.DefaultCalibrationPolicy().MinR, "calibrate: minimum |Pearson r|")
 	doCheck := flag.Bool("check", true, "verify chains, model and HMM against the paper invariants before writing")
-	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "worker goroutines for the parallel pipeline (1 = sequential; output is identical for any value)")
+	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "worker goroutines for the parallel pipeline and the training self-check (1 = sequential; output is identical for any value)")
 	var cli obs.CLI
 	cli.BindFlags(flag.CommandLine, true)
 	flag.Parse()
@@ -191,15 +193,24 @@ func build(ctx context.Context, funcs, powers, inputs, out, dot, jsonOut string,
 	writeSpan.End()
 
 	// Self-validation on the training set, like the paper's Table II MRE.
-	_, selfSpan := obs.Start(ctx, "selfcheck")
+	// Traces simulate independently; the sum runs in trace order, so the
+	// printed figure is the same at every -j.
+	selfCtx, selfSpan := obs.Start(ctx, "selfcheck")
+	results := make([]*powersim.Result, len(fts))
+	err = pipeline.ForEach(selfCtx, jobs, len(fts), func(_ context.Context, i int) error {
+		results[i] = powersim.Run(model, fts[i], inputCols, pws[i], powersim.DefaultConfig())
+		return nil
+	})
+	selfSpan.End()
+	if err != nil {
+		return err
+	}
 	var errSum float64
 	var n int
-	for i, ft := range fts {
-		res := powersim.Run(model, ft, inputCols, pws[i], powersim.DefaultConfig())
+	for _, res := range results {
 		errSum += res.MRE * float64(res.Instants)
 		n += res.Instants
 	}
-	selfSpan.End()
 	mre := 0.0
 	if n > 0 {
 		mre = 100 * errSum / float64(n)

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"psmkit/internal/experiment"
@@ -16,33 +19,44 @@ import (
 // file paths.
 func writeTraces(t *testing.T, dir string) (string, string) {
 	t.Helper()
+	return writeTraceSet(t, dir, 1)
+}
+
+// writeTraceSet produces pieces RAM training pairs in dir and returns the
+// comma-separated functional and power file lists.
+func writeTraceSet(t *testing.T, dir string, pieces int) (string, string) {
+	t.Helper()
 	c, err := experiment.CaseByName("RAM")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := experiment.GenerateTraces(c, 2000, 1, testbench.Options{Seed: 5})
+	ts, err := experiment.GenerateTraces(c, 2000*pieces, pieces, testbench.Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := filepath.Join(dir, "t.func.csv")
-	pp := filepath.Join(dir, "t.power.csv")
-	ff, err := os.Create(fp)
+	var funcs, powers []string
+	for i := range ts.FTs {
+		fp := filepath.Join(dir, fmt.Sprintf("t%d.func.csv", i))
+		pp := filepath.Join(dir, fmt.Sprintf("t%d.power.csv", i))
+		writeFile(t, fp, ts.FTs[i].WriteCSV)
+		writeFile(t, pp, ts.PWs[i].WriteCSV)
+		funcs, powers = append(funcs, fp), append(powers, pp)
+	}
+	return strings.Join(funcs, ","), strings.Join(powers, ",")
+}
+
+func writeFile(t *testing.T, path string, write func(io.Writer) error) {
+	t.Helper()
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.FTs[0].WriteCSV(ff); err != nil {
+	if err := write(f); err != nil {
 		t.Fatal(err)
 	}
-	ff.Close()
-	pf, err := os.Create(pp)
-	if err != nil {
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.PWs[0].WriteCSV(pf); err != nil {
-		t.Fatal(err)
-	}
-	pf.Close()
-	return fp, pp
 }
 
 func TestRunEndToEnd(t *testing.T) {
@@ -131,6 +145,84 @@ func TestSplit(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("split[%d] = %q", i, got[i])
+		}
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- b
+	}()
+	runErr := fn()
+	os.Stdout = saved
+	w.Close()
+	out := <-done
+	r.Close()
+	return string(out), runErr
+}
+
+// The self-check fans out over -j like the rest of the pipeline; the
+// printed training MRE and every written artifact must not depend on it.
+func TestOutputIdenticalAcrossJobs(t *testing.T) {
+	dir := t.TempDir()
+	fp, pp := writeTraceSet(t, dir, 4)
+	type result struct {
+		summary string
+		files   map[string][]byte
+	}
+	runAt := func(jobs int) result {
+		sub := filepath.Join(dir, fmt.Sprintf("j%d", jobs))
+		if err := os.Mkdir(sub, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		paths := map[string]string{
+			"psm":  filepath.Join(sub, "m.psm"),
+			"dot":  filepath.Join(sub, "m.dot"),
+			"json": filepath.Join(sub, "m.json"),
+		}
+		stdout, err := captureStdout(t, func() error {
+			return run(fp, pp, "addr,en,we,wdata", paths["psm"], paths["dot"], paths["json"],
+				mining.DefaultConfig(), psm.DefaultMergePolicy(), psm.DefaultCalibrationPolicy(), true, jobs, nil)
+		})
+		if err != nil {
+			t.Fatalf("-j %d: %v", jobs, err)
+		}
+		res := result{files: map[string][]byte{}}
+		for _, line := range strings.Split(stdout, "\n") {
+			if strings.HasPrefix(line, "model: ") {
+				res.summary = line
+			}
+		}
+		if !strings.Contains(res.summary, "training MRE") {
+			t.Fatalf("-j %d: no training MRE line in %q", jobs, stdout)
+		}
+		for kind, p := range paths {
+			b, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.files[kind] = b
+		}
+		return res
+	}
+	seq, par := runAt(1), runAt(4)
+	if seq.summary != par.summary {
+		t.Errorf("summary differs:\n-j 1: %s\n-j 4: %s", seq.summary, par.summary)
+	}
+	for kind, b := range seq.files {
+		if string(b) != string(par.files[kind]) {
+			t.Errorf("%s output differs between -j 1 and -j 4", kind)
 		}
 	}
 }

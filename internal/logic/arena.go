@@ -3,6 +3,7 @@ package logic
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // Arena carves Vector word storage out of reusable slabs so a hot ingest
@@ -14,10 +15,12 @@ import (
 // Callers that must keep a value across a Reset copy it out with Clone.
 // The streaming ingest paths (serve.handleTraces, shard.Session.
 // AppendLines) double-buffer two arenas because the engine retains each
-// batch's last row for one extra batch (input-HD history).
+// batch's last row for one extra batch (input-HD history). The trace
+// readers (trace.ReadFunctionalCSV, trace.ReadVCD) never reset theirs:
+// every value they decode lives as long as the trace.
 //
-// An Arena is not safe for concurrent use; sessions own one (or two)
-// each.
+// An Arena is not safe for concurrent use; sessions and readers own one
+// (or two) each.
 type Arena struct {
 	slab []uint64
 	off  int
@@ -139,4 +142,27 @@ func hexDigitError(s string) error {
 		}
 	}
 	return fmt.Errorf("logic: invalid hex literal %q", clean)
+}
+
+// ParseBits decodes a VCD binary value — binary digits, most significant
+// first — into an arena-backed Vector of the given width (which must be
+// positive). Every rune other than '1' contributes a 0 bit, so x and z
+// digits read as 0; digits beyond the width are shifted out. The result
+// equals shifting the value left one bit per rune and setting bit 0 on
+// each '1', which the differential tests pin against such a walk. The
+// input is not retained.
+func (a *Arena) ParseBits(width int, s []byte) Vector {
+	words := a.grab(wordsFor(width))
+	// Position of each digit from the least significant end, counted in
+	// runes: a multi-byte rune is one digit, as in a range loop.
+	pos := utf8.RuneCount(s)
+	for len(s) > 0 {
+		_, n := utf8.DecodeRune(s)
+		pos--
+		if s[0] == '1' && pos < width {
+			words[pos/wordBits] |= 1 << uint(pos%wordBits)
+		}
+		s = s[n:]
+	}
+	return Vector{width: width, words: words}
 }

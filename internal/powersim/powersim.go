@@ -80,10 +80,12 @@ type cursor struct {
 // valuation per clock cycle to Step, and read the running metrics from
 // Result.
 type Simulator struct {
-	model     *psm.Model
-	dict      *mining.Dictionary
-	h         *hmm.HMM // trained matrices (scoring)
-	mask      *hmm.HMM // run-local copy with resync masking
+	model *psm.Model
+	dict  *mining.Dictionary
+	mask  *hmm.HMM // the run's own HMM; resync masks its transitions in place
+	// obs[j][a] is the HMM observation index of state j's alternative
+	// a, resolved once so entry scoring never formats assertion keys.
+	obs       [][]int
 	inputCols []int
 	cfg       Config
 
@@ -91,7 +93,6 @@ type Simulator struct {
 	prevProp int
 	hasPrev  bool
 	hd       float64
-	hdValid  bool
 
 	cur       int // current state id, -1 when unsynchronized
 	entryFrom int // state we entered cur from, -1 if initial/jump
@@ -113,14 +114,19 @@ type Simulator struct {
 func New(model *psm.Model, inputCols []int, cfg Config) *Simulator {
 	h := hmm.New(model)
 	var total stats.Moments
-	for _, s := range model.States {
+	obs := make([][]int, len(model.States))
+	for j, s := range model.States {
 		total.Merge(s.Power)
+		obs[j] = make([]int, len(s.Alts))
+		for a, alt := range s.Alts {
+			obs[j][a] = h.Observation(alt.Seq.Key())
+		}
 	}
 	return &Simulator{
 		model:     model,
 		dict:      model.Dict,
-		h:         h,
-		mask:      h.Clone(),
+		mask:      h,
+		obs:       obs,
 		inputCols: inputCols,
 		cfg:       cfg,
 		cur:       -1,
@@ -248,7 +254,7 @@ func (s *Simulator) Step(row []logic.Vector) float64 {
 	// the behaviour region they summarize can alternate indefinitely; when
 	// the cascade ends on a proposition that re-opens the same state, the
 	// state implicitly self-loops.
-	if s.opensWith(s.cur, prop) {
+	if opensWith(s.model.States[s.cur], prop) {
 		s.enter(s.cur, s.cur, prop)
 		return s.estimate(s.cur, hd)
 	}
@@ -323,10 +329,11 @@ func (s *Simulator) advanceCursors(prop int) bool {
 	return len(s.cursors) > 0
 }
 
-// opensWith reports whether state id has an alternative opening with prop.
-func (s *Simulator) opensWith(id, prop int) bool {
-	for _, p := range s.model.States[id].FirstProps() {
-		if p == prop {
+// opensWith reports whether state st has an alternative opening with
+// prop.
+func opensWith(st *psm.State, prop int) bool {
+	for _, a := range st.Alts {
+		if a.Seq.Phases[0].Prop == prop {
 			return true
 		}
 	}
@@ -338,14 +345,7 @@ func (s *Simulator) opensWith(id, prop int) bool {
 func (s *Simulator) bestEntry(from, prop int) int {
 	best, bestScore := -1, 0.0
 	for _, st := range s.model.States {
-		opens := false
-		for _, p := range st.FirstProps() {
-			if p == prop {
-				opens = true
-				break
-			}
-		}
-		if !opens {
+		if !opensWith(st, prop) {
 			continue
 		}
 		sc := s.entryScore(from, st.ID, prop)
@@ -362,12 +362,11 @@ func (s *Simulator) bestEntry(from, prop int) int {
 // observing an assertion of j that opens with prop.
 func (s *Simulator) entryScore(i, j, prop int) float64 {
 	bestObs := -1.0
-	for _, a := range s.model.States[j].Alts {
+	for ai, a := range s.model.States[j].Alts {
 		if a.Seq.Phases[0].Prop != prop {
 			continue
 		}
-		obs := s.mask.Observation(a.Seq.Key())
-		if sc := s.mask.Score(i, j, obs); sc > bestObs {
+		if sc := s.mask.Score(i, j, s.obs[j][ai]); sc > bestObs {
 			bestObs = sc
 		}
 	}

@@ -516,10 +516,9 @@ func collapseWorklist(mg *merger, m *Model, alias map[int]int) {
 // merges evidence identically.
 func mergeStates(alias, initials map[int]int, a, b *State) {
 	for _, alt := range b.Alts {
-		key := alt.Seq.Key()
 		merged := false
 		for k := range a.Alts {
-			if a.Alts[k].Seq.Key() == key {
+			if a.Alts[k].Seq.Equal(alt.Seq) {
 				a.Alts[k].Count += alt.Count
 				merged = true
 				break

@@ -22,6 +22,7 @@ package psm
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"psmkit/internal/mining"
@@ -74,6 +75,11 @@ func (s Sequence) Key() string {
 	}
 	return sb.String()
 }
+
+// Equal reports whether two sequences have the same phases. Key is
+// injective, so Equal(o) holds exactly when s.Key() == o.Key(); the join
+// compares sequences through Equal to avoid formatting keys per merge.
+func (s Sequence) Equal(o Sequence) bool { return slices.Equal(s.Phases, o.Phases) }
 
 // String renders the sequence with the dictionary's proposition names.
 func (s Sequence) String(d *mining.Dictionary) string {
@@ -141,17 +147,6 @@ func (s *State) FirstProps() []int {
 		}
 	}
 	return out
-}
-
-// HasAlt reports whether the state carries an alternative with the given
-// sequence key.
-func (s *State) HasAlt(key string) bool {
-	for _, a := range s.Alts {
-		if a.Seq.Key() == key {
-			return true
-		}
-	}
-	return false
 }
 
 // Transition is a PSM edge: leaving From for To when the Enabling

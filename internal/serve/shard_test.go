@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -300,4 +301,61 @@ func mustGet(t *testing.T, url string) *http.Response {
 		t.Fatalf("GET %s: status %d: %s", url, resp.StatusCode, body)
 	}
 	return resp
+}
+
+// TestShardSkewSurfaces routes three of four equal sessions to shard 0
+// of 2 and reads the record skew — max/mean records per shard, 300/200
+// = 1.5 — from /v1/status and the psmd_shard_skew gauge; before any
+// ingest both read 1.
+func TestShardSkewSurfaces(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Stream.Inputs = []string{"op"}
+	cfg.Shards = 2
+	srv := New(cfg)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	skew := func() (status, gauge float64) {
+		t.Helper()
+		var doc statusDoc
+		if err := json.Unmarshal([]byte(readAll(t, mustGet(t, ts.URL+"/v1/status"))), &doc); err != nil {
+			t.Fatal(err)
+		}
+		prom := readAll(t, mustGet(t, ts.URL+"/metrics?format=prometheus"))
+		for _, line := range strings.Split(prom, "\n") {
+			if v, ok := strings.CutPrefix(line, "psmd_shard_skew "); ok {
+				g, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("psmd_shard_skew sample %q: %v", line, err)
+				}
+				return doc.ShardSkew, g
+			}
+		}
+		t.Fatalf("prometheus exposition lacks psmd_shard_skew:\n%s", prom)
+		return 0, 0
+	}
+	if st, g := skew(); st != 1 || g != 1 {
+		t.Fatalf("skew before ingest: status %v, gauge %v; want 1", st, g)
+	}
+
+	var ids []string
+	onShard := [2]int{}
+	for k := 0; len(ids) < 4; k++ {
+		id := fmt.Sprintf("skew-%d", k)
+		sh := srv.co.ShardOf(id)
+		if want := []int{3, 1}[sh]; onShard[sh] < want {
+			onShard[sh]++
+			ids = append(ids, id)
+		}
+	}
+	for i, id := range ids {
+		resp := mustPost(t, ts.URL+"/v1/traces?session="+id, genNDJSON(t, int64(40+i), 100, true))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("upload %s: %s", id, readAll(t, resp))
+		}
+		resp.Body.Close()
+	}
+	if st, g := skew(); st != 1.5 || g != 1.5 {
+		t.Fatalf("skew after 3+1 sessions: status %v, gauge %v; want 1.5", st, g)
+	}
 }

@@ -127,9 +127,12 @@ type statusDoc struct {
 	// Shards carries one row per shard engine: the Engine block holds the
 	// fleet sums, and each row here attributes them to its shard together
 	// with the sessions its open-session cap refused.
-	Shards       []shard.ShardMetric `json:"shards"`
-	SlowSessions []sessionTimeline   `json:"slow_sessions"`
-	Flight       statusFlight        `json:"flight"`
+	Shards []shard.ShardMetric `json:"shards"`
+	// ShardSkew is the records-ingested skew over Shards: the busiest
+	// shard's count over the per-shard mean (1 when even or empty).
+	ShardSkew    float64           `json:"shard_skew"`
+	SlowSessions []sessionTimeline `json:"slow_sessions"`
+	Flight       statusFlight      `json:"flight"`
 }
 
 // handleStatus serves the SLO health surface: readiness, windowed
@@ -168,7 +171,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			DeltaSnapshots:  m.DeltaSnapshots,
 			QueueDepth:      reg.Gauge("pipeline_pool_queue_depth").Value(),
 		},
-		Shards:       s.co.ShardMetrics(),
 		SlowSessions: s.slowSessions(),
 		Flight: statusFlight{
 			Capacity: s.flight.Capacity(),
@@ -176,6 +178,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			Dropped:  s.flight.Dropped(),
 		},
 	}
+	doc.Shards = s.co.ShardMetrics()
+	doc.ShardSkew = shard.Skew(doc.Shards)
 	doc.Errors = statusErrors{
 		WindowSeconds: s.wReqs.WindowDuration().Seconds(),
 		Requests:      s.wReqs.Sum(),

@@ -118,6 +118,7 @@ func New(cfg Config) *Coordinator {
 	reg.CounterFunc("psmd_records_ingested_total", func() int64 { return c.Metrics().RecordsIngested })
 	reg.CounterFunc("psmd_traces_completed_total", func() int64 { return int64(c.Metrics().TracesCompleted) })
 	reg.GaugeFunc("psmd_sessions_open", func() float64 { return float64(c.Metrics().OpenSessions) })
+	reg.GaugeFunc("psmd_shard_skew", func() float64 { return Skew(c.ShardMetrics()) })
 	return c
 }
 

@@ -239,6 +239,21 @@ func (c *Coordinator) ShardMetrics() []ShardMetric {
 	return rows
 }
 
+// Skew is the fleet's record skew over per-shard rows: the most records
+// any shard has ingested over the mean per shard. It is 1 when the load
+// is even — and when nothing has been ingested yet.
+func Skew(rows []ShardMetric) float64 {
+	var total, most int64
+	for _, r := range rows {
+		total += r.RecordsIngested
+		most = max(most, r.RecordsIngested)
+	}
+	if total == 0 {
+		return 1
+	}
+	return float64(most) * float64(len(rows)) / float64(total)
+}
+
 // Metrics aggregates the fleet into one stream.Metrics: ingest counters
 // sum across shards; the snapshot accounting (snapshots, rebuilds,
 // states pooled/served, join latency) is the coordinator's LiveJoin —

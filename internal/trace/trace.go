@@ -8,6 +8,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -193,6 +194,10 @@ func ReadFunctionalCSV(r io.Reader) (*Functional, error) {
 
 // ReadFunctionalCSVBounded is ReadFunctionalCSV under resource limits;
 // violations return a *LimitError.
+//
+// The reader allocates per slab, not per row: it splits each line's bytes
+// in place, decodes every field into an arena the trace keeps for its
+// lifetime (never reset), and carves rows out of chunked backing arrays.
 func ReadFunctionalCSVBounded(r io.Reader, lim Limits) (*Functional, error) {
 	sc := bufio.NewScanner(r)
 	buf := lim.lineBytes()
@@ -218,31 +223,61 @@ func ReadFunctionalCSVBounded(r io.Reader, lim Limits) (*Functional, error) {
 		return nil, err
 	}
 	f := NewFunctional(sigs)
+	var (
+		arena logic.Arena
+		slab  rowSlab
+	)
 	line := 1
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 {
 			continue
 		}
 		if err := lim.checkInstants(f.Len() + 1); err != nil {
 			return nil, err
 		}
-		fields := strings.Split(text, ",")
-		if len(fields) != len(sigs) {
-			return nil, fmt.Errorf("trace: line %d has %d fields, want %d", line, len(fields), len(sigs))
+		if n := bytes.Count(text, []byte(",")) + 1; n != len(sigs) {
+			return nil, fmt.Errorf("trace: line %d has %d fields, want %d", line, n, len(sigs))
 		}
-		row := make([]logic.Vector, len(fields))
-		for i, field := range fields {
-			v, err := logic.ParseHex(sigs[i].Width, field)
+		row := slab.next(len(sigs))
+		for i := range row {
+			field := text
+			if j := bytes.IndexByte(text, ','); j >= 0 {
+				field, text = text[:j], text[j+1:]
+			}
+			v, err := arena.ParseHex(sigs[i].Width, field)
 			if err != nil {
 				return nil, fmt.Errorf("trace: line %d field %d: %v", line, i, err)
 			}
 			row[i] = v
 		}
-		f.Append(row)
+		f.rows = append(f.rows, row)
 	}
 	return f, sc.Err()
+}
+
+// rowSlab carves fixed-length rows out of chunked backing arrays, so a
+// reader pays one allocation per chunk instead of one per row. Chunks
+// double from 16 rows up to rowSlabMaxCells values (or 16 rows, if
+// wider); a row never spans two chunks, and a chunk's unused tail is
+// left behind when a row does not fit.
+type rowSlab struct {
+	free []logic.Vector
+	size int // cells in the last chunk allocated
+}
+
+const rowSlabMaxCells = 1 << 15
+
+// next returns a fresh row of n zero values.
+func (s *rowSlab) next(n int) []logic.Vector {
+	if len(s.free) < n {
+		s.size = max(min(2*s.size, rowSlabMaxCells), 16*n)
+		s.free = make([]logic.Vector, s.size)
+	}
+	row := s.free[:n:n]
+	s.free = s.free[n:]
+	return row
 }
 
 // WriteCSV serializes the power trace, one value per line.
@@ -271,14 +306,16 @@ func ReadPowerCSVBounded(r io.Reader, lim Limits) (*Power, error) {
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 {
 			continue
 		}
 		if err := lim.checkInstants(p.Len() + 1); err != nil {
 			return nil, err
 		}
-		v, err := strconv.ParseFloat(text, 64)
+		// The conversion does not escape ParseFloat, so it needs no
+		// allocation for lines of ordinary length.
+		v, err := strconv.ParseFloat(string(text), 64)
 		if err != nil {
 			return nil, fmt.Errorf("trace: power line %d: %v", line, err)
 		}

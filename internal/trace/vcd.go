@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -89,39 +90,34 @@ func ReadVCDBounded(r io.Reader, lim Limits) (*Functional, error) {
 		cur[i] = logic.New(s.width)
 	}
 	out := NewFunctional(sigs)
+	// Changed values are decoded into an arena the trace keeps (never
+	// reset); forward-filled rows share the current values and are
+	// carved from the same chunked row slab as the CSV reader's.
+	var (
+		arena logic.Arena
+		slab  rowSlab
+	)
 
-	apply := func(line string) error {
+	apply := func(line []byte) error {
 		switch line[0] {
-		case '0', '1':
-			s, ok := byID[line[1:]]
+		case '0', '1', 'x', 'z', 'X', 'Z':
+			s, ok := byID[string(line[1:])]
 			if !ok {
 				return fmt.Errorf("trace: change for unknown VCD id %q", line[1:])
 			}
-			cur[s.col] = logic.FromUint64(s.width, uint64(line[0]-'0'))
-		case 'x', 'z', 'X', 'Z':
-			s, ok := byID[line[1:]]
-			if !ok {
-				return fmt.Errorf("trace: change for unknown VCD id %q", line[1:])
-			}
-			cur[s.col] = logic.New(s.width)
+			// A scalar change is a one-digit binary value: 0 or 1, with
+			// x and z reading as 0.
+			cur[s.col] = arena.ParseBits(s.width, line[:1])
 		case 'b', 'B':
-			bits, id, ok := strings.Cut(line[1:], " ")
+			bits, id, ok := bytes.Cut(line[1:], []byte(" "))
 			if !ok {
 				return fmt.Errorf("trace: malformed vector change %q", line)
 			}
-			s, found := byID[strings.TrimSpace(id)]
+			s, found := byID[string(bytes.TrimSpace(id))]
 			if !found {
 				return fmt.Errorf("trace: change for unknown VCD id %q", id)
 			}
-			v := logic.New(s.width)
-			for _, c := range bits {
-				v = v.Shl(1)
-				if c == '1' {
-					v = v.SetBit(0, 1)
-				}
-				// 0/x/z all contribute a 0 bit.
-			}
-			cur[s.col] = v
+			cur[s.col] = arena.ParseBits(s.width, bits)
 		default:
 			return fmt.Errorf("trace: unsupported VCD change %q", line)
 		}
@@ -130,19 +126,21 @@ func ReadVCDBounded(r io.Reader, lim Limits) (*Functional, error) {
 
 	emitTo := func(t int) {
 		for out.Len() < t {
-			out.Append(cur)
+			row := slab.next(len(cur))
+			copy(row, cur)
+			out.rows = append(out.rows, row)
 		}
 	}
 
 	// --- value changes ------------------------------------------------------
 	started := false
 	lastT := 0
-	handle := func(line string) error {
-		if line == "" || strings.HasPrefix(line, "$") {
+	handle := func(line []byte) error {
+		if len(line) == 0 || line[0] == '$' {
 			return nil // $dumpvars / $end markers
 		}
 		if line[0] == '#' {
-			t, err := strconv.Atoi(line[1:])
+			t, err := strconv.Atoi(string(line[1:]))
 			if err != nil || t < 0 {
 				return fmt.Errorf("trace: bad timestamp %q", line)
 			}
@@ -164,7 +162,7 @@ func ReadVCDBounded(r io.Reader, lim Limits) (*Functional, error) {
 	}
 
 	for sc.Scan() {
-		if err := handle(strings.TrimSpace(sc.Text())); err != nil {
+		if err := handle(bytes.TrimSpace(sc.Bytes())); err != nil {
 			return nil, err
 		}
 	}
